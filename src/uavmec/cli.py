@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import json
+import numbers
 import subprocess
 import sys
 import time
@@ -29,7 +31,9 @@ RESULTS_CSV_SCHEMA = "uavmec-sweep-v1"
 METHODS = ("proposed", "hpo", "vpo", "clbo")
 
 
+@functools.cache
 def _git_describe():
+    """git-describe string of the package's tree, once per process."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
                              capture_output=True, text=True, timeout=10,
@@ -147,25 +151,56 @@ def _sweep_point(payload):
                 f"failed:{type(exc).__name__}", time.perf_counter() - t0)
 
 
+def _check_int(value, key, least):
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"sweep spec '{key}' must be an integer >= {least}, "
+                         f"got {value!r}")
+    return value
+
+
+def _spec_int(spec, key, default, least):
+    return _check_int(spec.get(key, default), key, least)
+
+
+def _spec_list(spec, key):
+    values = spec[key]
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ValueError(f"sweep spec '{key}' must be a non-empty list")
+    return list(values)
+
+
 def run_sweep(spec: dict, out_dir, jobs=1):
+    if not isinstance(spec, dict):
+        raise ValueError("sweep spec must be a JSON object")
+    missing = [k for k in ("sweep_var", "values", "methods") if k not in spec]
+    if missing:
+        raise ValueError(f"sweep spec lacks {', '.join(missing)}")
     sweep_var = spec["sweep_var"]
     if sweep_var not in ("num_ues", "num_uavs"):
         raise ValueError("sweep_var must be num_ues or num_uavs")
-    values = spec["values"]
-    if list(values) != sorted(set(values)):
+    values = [_check_int(v, "values", 1) for v in _spec_list(spec, "values")]
+    if values != sorted(set(values)):
         raise ValueError("sweep values must be strictly increasing")
-    methods = spec["methods"]
-    if not methods:
-        raise ValueError("at least one method required")
-    seeds = spec.get("seeds")
-    if seeds is None:
-        base = spec.get("base_seed", 0)
-        seeds = [base + k for k in range(spec.get("seeds_per_point", 1))]
-    n_ues = spec.get("num_ues", 30)
-    n_uavs = spec.get("num_uavs", 5)
-    max_iters = spec.get("max_iters", 50)
+    methods = _spec_list(spec, "methods")
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ValueError(f"unknown sweep methods {unknown}")
+    if "seeds" in spec:
+        seeds = [_check_int(v, "seeds", 0) for v in _spec_list(spec, "seeds")]
+    else:
+        base = _spec_int(spec, "base_seed", 0, 0)
+        seeds = [base + k
+                 for k in range(_spec_int(spec, "seeds_per_point", 1, 1))]
+    n_ues = _spec_int(spec, "num_ues", 30, 1)
+    n_uavs = _spec_int(spec, "num_uavs", 5, 1)
+    max_iters = _spec_int(spec, "max_iters", 50, 1)
     tol = spec.get("rel_tol", 1e-4)
-    restarts = spec.get("restarts", 1)
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not 0 < tol < float("inf")):
+        raise ValueError(f"sweep spec 'rel_tol' must be a number > 0, "
+                         f"got {tol!r}")
+    restarts = _spec_int(spec, "restarts", 1, 1)
 
     points = [(sweep_var, v, m, s, n_ues, n_uavs, max_iters, tol, restarts)
               for v in values for m in methods for s in seeds]

@@ -87,11 +87,15 @@ def completion_time(scenario: Scenario, deployment: Deployment,
 
 
 def kmeans(points, k, seed=0, max_iters=100):
-    """Lloyd's algorithm with k-means++ seeding; returns (centroids, labels)."""
+    """Lloyd's algorithm with k-means++ seeding; returns (centroids, labels).
+
+    A cluster left empty takes the point farthest from its own centroid
+    (lowest index on ties) among clusters with more than one point, so no
+    cluster stays empty while another holds two points. With k > n the
+    k - n extra clusters stay empty at duplicate seed points.
+    """
     points = np.asarray(points, dtype=float)
     n = len(points)
-    if k > n:
-        raise ValueError("k must not exceed the number of points")
     rng = np.random.default_rng(seed)
     centroids = np.empty((k, 2))
     centroids[0] = points[rng.integers(n)]
@@ -108,6 +112,7 @@ def kmeans(points, k, seed=0, max_iters=100):
         dist = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2,
                       axis=-1)
         new_labels = np.argmin(dist, axis=1)
+        _fill_empty_clusters(new_labels, dist, k)
         for c in range(k):
             mask = new_labels == c
             if mask.any():
@@ -117,6 +122,21 @@ def kmeans(points, k, seed=0, max_iters=100):
             break
         labels = new_labels
     return centroids, labels
+
+
+def _fill_empty_clusters(labels, dist, k):
+    """Move into each empty cluster, in index order, the point farthest
+    from its centroid among clusters of two or more points (in place)."""
+    sizes = np.bincount(labels, minlength=k)
+    for c in np.flatnonzero(sizes == 0):
+        movable = sizes[labels] > 1
+        if not movable.any():
+            return
+        own = np.where(movable, dist[np.arange(len(labels)), labels], -1.0)
+        i = int(np.argmax(own))
+        sizes[labels[i]] -= 1
+        sizes[c] += 1
+        labels[i] = c
 
 
 def _random_deployment(scenario, rng) -> Deployment:

@@ -1,18 +1,21 @@
 """Per-UAV convex subproblems for the alternating placement steps.
 
-Each call linearizes the rate model once around the current iterate
-(the expansion point) and solves the resulting convex program with the
-in-repo barrier solver:
+Each call linearizes the rate model once around the current iterate (the
+expansion point) and minimizes the UAV's completion time under the
+resulting global lower bounds:
 
-* horizontal step: variables (q, v_i, z_i, mu), the rate and the
-  elevation sine replaced by their global concave/affine lower bounds in
-  ||q - w||^2 and exp(-(k3 + k4 v));
-* vertical step: variables (H, v_i, z_i, mu), the sine constraint kept
-  exact (it is jointly convex in (v, H)) and the rate lower-bounded
-  affinely in H^2.
+* horizontal step: the elevation sine is replaced by its tangent in
+  s_i = ||q - w_i||^2 (a lower bound, since H / sqrt(s + H^2) is convex in
+  s) and the rate by its concave lower bound in (exp(-(k3 + k4 v)), s);
+* vertical step: the sine is kept exact, v_i = H / sqrt(s_i + H^2), and
+  the rate is lower-bounded affinely in H^2.
 
-The z variables are scaled by the expansion rates internally so the
-barrier Hessian is well conditioned; all public values are in bits/s.
+In the epigraph form of either step the sine and rate bounds are tight at
+the optimum, so both are eliminated in closed form: what remains is a
+smooth convex function of q in R^2 (or of H in R) over the box, with an
+analytic Hessian, minimized by projected Newton (``solve_convex``). Rates
+are scaled by the expansion rates internally, so every scaled rate bound
+equals 1 at the expansion point; all public values are in bits/s.
 
 A descent safeguard re-evaluates the true completion time at the
 returned position and rejects any step that would increase it.
@@ -25,12 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel
-from .barrier import ConstraintBlock, ConvexProgram, solve_convex
-from .lp import Status
+from .lp import SolveStatus, Status
 
-V_FLOOR = 1e-6          # lower box for elevation-sine variables
+# domain of the reduced steps: points where a bound leaves it count as +inf
+V_FLOOR = 1e-6          # least elevation sine
 Z_FLOOR = 1.0           # bits/s; keeps 1/z away from the pole
-MU_CAP = 1e9
+MU_CAP = 1e9            # seconds
 
 
 @dataclass(frozen=True)
@@ -159,201 +162,232 @@ def true_uav_time(q, h, ue_pos, data_bits, cycles, tx_powers, cpu_hz, params,
 
 
 # ---------------------------------------------------------------------------
-# constraint blocks
+# reduced subproblems
 # ---------------------------------------------------------------------------
 
-class _TimeBlock(ConstraintBlock):
-    """sum_i a_i / zeta_i + c_fix - mu <= 0 (single constraint)."""
-
-    def __init__(self, a, c_fix, n, z_sl, mu_ix):
-        self.a = a
-        self.c_fix = c_fix
-        self.n = n
-        self.z_sl = z_sl
-        self.mu_ix = mu_ix
-
-    def value(self, x):
-        return np.array([np.sum(self.a / x[self.z_sl]) + self.c_fix - x[self.mu_ix]])
-
-    def jacobian(self, x):
-        jac = np.zeros((1, self.n))
-        jac[0, self.z_sl] = -self.a / x[self.z_sl] ** 2
-        jac[0, self.mu_ix] = -1.0
-        return jac
-
-    def hessian(self, x, w):
-        h = np.zeros((self.n, self.n))
-        zi = np.arange(*self.z_sl.indices(self.n))
-        h[zi, zi] = w[0] * 2.0 * self.a / x[self.z_sl] ** 3
-        return h
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 60
+_OUTSIDE = (np.inf, None, None)
 
 
-class _QuadExpBlock(ConstraintBlock):
-    """zeta_i + ce_i * E(v_i) + cq_i * ||q - w_i||^2 <= rhs_i (per UE).
+def solve_convex(fun, x0, lo, hi, tol=1e-8, max_newton=4000) -> SolveStatus:
+    """Minimize a smooth convex function over the box [lo, hi] from x0.
 
-    With ce = 0 and no v variables this degenerates to the LoS bound.
+    fun(x) returns (value, gradient, Hessian), or a value of +inf outside
+    the function's domain. Projected Newton (Bertsekas, SIAM J. Control
+    Optim. 20(2), 1982): a coordinate on a bound whose gradient points out
+    of the box stays there and the others take the Newton step of their
+    own block. Should that step leave the box through a coordinate already
+    on a bound, the gradient scaled by the Hessian diagonal is taken
+    instead, so the projected path always descends. Armijo backtracking
+    along the projected path; the run stops after the step whose Newton
+    decrement -g.d / 2 was at most tol times the value, or at a
+    stationary point.
+    """
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    f, g, hess = fun(x)
+    if not np.isfinite(f):
+        return SolveStatus(Status.INFEASIBLE)
+    for step in range(max_newton):
+        at_lo, at_hi = x <= lo, x >= hi
+        free = ~((at_lo & (g > 0)) | (at_hi & (g < 0)) | (at_lo & at_hi))
+        d = np.zeros_like(x)
+        if free.any():
+            d[free] = -np.linalg.solve(hess[np.ix_(free, free)], g[free])
+            if np.any((at_lo & (d < 0)) | (at_hi & (d > 0))):
+                d[free] = -g[free] / np.diag(hess)[free]
+        gap = -0.5 * float(g @ d)
+        if not np.isfinite(gap):
+            return SolveStatus(Status.NUMERICAL_FAILURE, objective=f, x=x,
+                               iterations=step)
+        if gap <= 0.0:
+            return SolveStatus(Status.OPTIMAL, objective=f, x=x,
+                               kkt_residual=0.0, iterations=step)
+        alpha = 1.0
+        for _ in range(_MAX_HALVINGS):
+            x_new = np.clip(x + alpha * d, lo, hi)
+            f_new, g_new, h_new = fun(x_new)
+            if f_new <= f + _ARMIJO * float(g @ (x_new - x)):
+                break
+            alpha *= 0.5
+        else:
+            # no decrease left to find in floating point
+            status = (Status.OPTIMAL if gap <= tol * abs(f)
+                      else Status.NUMERICAL_FAILURE)
+            return SolveStatus(status, objective=f, x=x, kkt_residual=gap,
+                               iterations=step + 1)
+        x, f, g, hess = x_new, f_new, g_new, h_new
+        if gap <= tol * abs(f):
+            return SolveStatus(Status.OPTIMAL, objective=f, x=x,
+                               kkt_residual=gap, iterations=step + 1)
+    return SolveStatus(Status.ITER_LIMIT, objective=f, x=x,
+                       iterations=max_newton)
+
+
+class _Step:
+    """One SCA step reduced to its placement coordinates x.
+
+    Subclasses set the expansion coordinates ``x_hat`` and the box
+    ``lo``/``hi``, and define ``at(x)`` -> (v, z, ...) giving the sine and
+    scaled rate bounds (or None where a sine bound leaves the domain),
+    ``__call__`` for ``solve_convex``, ``place(x)`` -> (q, h) and
+    ``position(x)``, the public position at x.
     """
 
-    def __init__(self, ce, cq, rhs, w_pos, params, n, q_sl, v_sl, z_sl):
-        self.ce = ce
-        self.cq = cq
-        self.rhs = rhs
-        self.w_pos = w_pos
+    def __init__(self, exp_point, ue_data, params, model):
+        data_bits, cycles, _, cpu_hz = ue_data
+        r_hat = exp_point.r_hat
+        if model == "rician":
+            coef_exp, coef_quad = taylor_coefficients(
+                exp_point.v_hat, exp_point.d_sq_hat, exp_point.gamma, params)
+        else:
+            coef_exp = np.zeros_like(r_hat)
+            coef_quad = los_coefficient(exp_point.d_sq_hat, exp_point.gamma,
+                                        params)
+        self.ep = exp_point
+        self.ue_data = ue_data
         self.params = params
-        self.n = n
-        self.q_sl = q_sl
-        self.v_sl = v_sl      # None for the LoS variant
-        self.z_sl = z_sl
+        self.model = model
+        self.a = data_bits / r_hat
+        self.c_fix = float(np.sum(cycles / cpu_hz))
+        self.ce = coef_exp / r_hat
+        self.cq = coef_quad / r_hat
+        self.e_hat = _exp_term(exp_point.v_hat, params)
+        self.z_min = Z_FLOOR / r_hat
 
-    def value(self, x):
-        q = x[self.q_sl]
-        sq = np.sum((q[None, :] - self.w_pos) ** 2, axis=-1)
-        out = x[self.z_sl] + self.cq * sq - self.rhs
-        if self.v_sl is not None:
-            out = out + self.ce * _exp_term(x[self.v_sl], self.params)
-        return out
+    def _value(self, terms):
+        """Objective sum a/z + c_fix and the weights a/z^2, or None outside
+        the domain."""
+        if terms is None:
+            return None
+        z = terms[1]
+        if np.any(z < self.z_min):
+            return None
+        f = float(np.sum(self.a / z)) + self.c_fix
+        if not f <= MU_CAP:
+            return None
+        return f, self.a / z ** 2
 
-    def jacobian(self, x):
-        q = x[self.q_sl]
-        s = q[None, :] - self.w_pos
-        m = len(self.cq)
-        jac = np.zeros((m, self.n))
-        jac[:, self.q_sl] = 2.0 * self.cq[:, None] * s
-        zi = np.arange(*self.z_sl.indices(self.n))
-        jac[np.arange(m), zi] = 1.0
-        if self.v_sl is not None:
-            vi = np.arange(*self.v_sl.indices(self.n))
-            jac[np.arange(m), vi] = (-self.params.k4 * self.ce
-                                     * _exp_term(x[self.v_sl], self.params))
-        return jac
+    def true_time(self, x):
+        data_bits, cycles, tx_powers, cpu_hz = self.ue_data
+        q, h = self.place(x)
+        return true_uav_time(q, h, self.ep.ue_pos, data_bits, cycles,
+                             tx_powers, cpu_hz, self.params, self.model)
 
-    def hessian(self, x, w):
-        h = np.zeros((self.n, self.n))
-        qi = np.arange(*self.q_sl.indices(self.n))
-        h[qi, qi] += 2.0 * np.sum(w * self.cq)
-        if self.v_sl is not None:
-            vi = np.arange(*self.v_sl.indices(self.n))
-            h[vi, vi] += (w * self.params.k4 ** 2 * self.ce
-                          * _exp_term(x[self.v_sl], self.params))
-        return h
-
-
-class _VBoundBlock(ConstraintBlock):
-    """v_i + c_i * ||q - w_i||^2 <= rhs_i (horizontal sine bound)."""
-
-    def __init__(self, coef, rhs, w_pos, n, q_sl, v_sl):
-        self.coef = coef
-        self.rhs = rhs
-        self.w_pos = w_pos
-        self.n = n
-        self.q_sl = q_sl
-        self.v_sl = v_sl
-
-    def value(self, x):
-        q = x[self.q_sl]
-        sq = np.sum((q[None, :] - self.w_pos) ** 2, axis=-1)
-        return x[self.v_sl] + self.coef * sq - self.rhs
-
-    def jacobian(self, x):
-        q = x[self.q_sl]
-        s = q[None, :] - self.w_pos
-        m = len(self.coef)
-        jac = np.zeros((m, self.n))
-        jac[:, self.q_sl] = 2.0 * self.coef[:, None] * s
-        vi = np.arange(*self.v_sl.indices(self.n))
-        jac[np.arange(m), vi] = 1.0
-        return jac
-
-    def hessian(self, x, w):
-        h = np.zeros((self.n, self.n))
-        qi = np.arange(*self.q_sl.indices(self.n))
-        h[qi, qi] += 2.0 * np.sum(w * self.coef)
-        return h
+    def solve(self, tol, max_newton):
+        """Minimize from the expansion point, then apply the descent
+        safeguard."""
+        res = solve_convex(self, self.x_hat, self.lo, self.hi, tol=tol,
+                           max_newton=max_newton)
+        t_old = self.true_time(self.x_hat)
+        if (res.x is None
+                or res.status in (Status.INFEASIBLE, Status.NUMERICAL_FAILURE)
+                or self.true_time(res.x) > t_old + 1e-9):
+            return SubproblemSolution(position=self.position(self.x_hat),
+                                      v=self.ep.v_hat.copy(),
+                                      z=self.ep.r_hat.copy(), mu=t_old,
+                                      status=res.status, accepted=False)
+        v, z = self.at(res.x)[:2]
+        return SubproblemSolution(position=self.position(res.x), v=v,
+                                  z=z * self.ep.r_hat, mu=res.objective,
+                                  status=res.status, accepted=True)
 
 
-class _SineBlock(ConstraintBlock):
-    """v_i - H / sqrt(a3_i + H^2) <= 0 (exact, convex for H > 0)."""
+class _Horizontal(_Step):
+    """q alone: v_i = v_lb_i(q), z_i = r_lb_i(q, v_i) / r_hat_i.
 
-    def __init__(self, a3, n, h_ix, v_sl):
-        self.a3 = a3
-        self.n = n
-        self.h_ix = h_ix
-        self.v_sl = v_sl
+    With u_i = q - w_i, z_i has gradient -2 p_i u_i and Hessian
+    -4 rho_i u_i u_i^T - 2 p_i I, where p = ce k4 sigma E + cq and
+    rho = ce k4^2 sigma^2 E, so the objective's Hessian
+    sum (2a/z^3) grad z grad z^T - (a/z^2) Hess z is positive definite.
+    Under the LoS model ce = 0 and the sine plays no part (sigma = 0).
+    """
 
-    def value(self, x):
-        h = x[self.h_ix]
-        return x[self.v_sl] - h / np.sqrt(self.a3 + h ** 2)
+    def __init__(self, exp_point, ue_data, box, params, model):
+        super().__init__(exp_point, ue_data, params, model)
+        self.sigma = (exp_point.h_hat / (2.0 * exp_point.d_sq_hat ** 1.5)
+                      if model == "rician" else 0.0)
+        self.x_hat = exp_point.q_hat
+        self.lo = np.array([box.x_min, box.y_min])
+        self.hi = np.array([box.x_max, box.y_max])
 
-    def jacobian(self, x):
-        h = x[self.h_ix]
-        m = len(self.a3)
-        jac = np.zeros((m, self.n))
-        jac[:, self.h_ix] = -self.a3 / (self.a3 + h ** 2) ** 1.5
-        vi = np.arange(*self.v_sl.indices(self.n))
-        jac[np.arange(m), vi] = 1.0
-        return jac
+    def at(self, q):
+        ep = self.ep
+        u = q - ep.ue_pos
+        ds = np.einsum("ij,ij->i", u, u) - ep.horiz_sq_hat
+        v = ep.v_hat - self.sigma * ds
+        if np.any(v < V_FLOOR):
+            return None
+        e = _exp_term(v, self.params)
+        return v, 1.0 + self.ce * (self.e_hat - e) - self.cq * ds, u, e
 
-    def hessian(self, x, w):
-        h = x[self.h_ix]
-        out = np.zeros((self.n, self.n))
-        out[self.h_ix, self.h_ix] = np.sum(
-            w * 3.0 * self.a3 * h / (self.a3 + h ** 2) ** 2.5)
-        return out
+    def __call__(self, q):
+        terms = self.at(q)
+        value = self._value(terms)
+        if value is None:
+            return _OUTSIDE
+        f, w = value
+        _, z, u, e = terms
+        k4s = self.params.k4 * self.sigma
+        p = self.ce * k4s * e + self.cq
+        rho = self.ce * k4s ** 2 * e
+        grad = 2.0 * (w * p) @ u
+        hess = ((u.T * (8.0 * w * p ** 2 / z + 4.0 * w * rho)) @ u
+                + 2.0 * float(np.sum(w * p)) * np.eye(2))
+        return f, grad, hess
 
+    def place(self, q):
+        return q, self.ep.h_hat
 
-class _VertRateBlock(ConstraintBlock):
-    """zeta_i + ce_i * E(v_i) + cq_i * H^2 <= rhs_i (vertical rate bound)."""
-
-    def __init__(self, ce, cq, rhs, params, n, h_ix, v_sl, z_sl):
-        self.ce = ce
-        self.cq = cq
-        self.rhs = rhs
-        self.params = params
-        self.n = n
-        self.h_ix = h_ix
-        self.v_sl = v_sl      # None for the LoS variant
-        self.z_sl = z_sl
-
-    def value(self, x):
-        h = x[self.h_ix]
-        out = x[self.z_sl] + self.cq * h ** 2 - self.rhs
-        if self.v_sl is not None:
-            out = out + self.ce * _exp_term(x[self.v_sl], self.params)
-        return out
-
-    def jacobian(self, x):
-        h = x[self.h_ix]
-        m = len(self.cq)
-        jac = np.zeros((m, self.n))
-        jac[:, self.h_ix] = 2.0 * self.cq * h
-        zi = np.arange(*self.z_sl.indices(self.n))
-        jac[np.arange(m), zi] = 1.0
-        if self.v_sl is not None:
-            vi = np.arange(*self.v_sl.indices(self.n))
-            jac[np.arange(m), vi] = (-self.params.k4 * self.ce
-                                     * _exp_term(x[self.v_sl], self.params))
-        return jac
-
-    def hessian(self, x, w):
-        h = x[self.h_ix]
-        out = np.zeros((self.n, self.n))
-        out[self.h_ix, self.h_ix] = 2.0 * np.sum(w * self.cq)
-        if self.v_sl is not None:
-            vi = np.arange(*self.v_sl.indices(self.n))
-            out[vi, vi] += (w * self.params.k4 ** 2 * self.ce
-                            * _exp_term(x[self.v_sl], self.params))
-        return out
+    def position(self, q):
+        return q.copy()
 
 
-# ---------------------------------------------------------------------------
-# subproblem solves
-# ---------------------------------------------------------------------------
+class _Vertical(_Step):
+    """H alone: v_i = H / sqrt(s_i + H^2) exactly, z_i = r_lb_i(H, v_i) /
+    r_hat_i, concave in H, so the objective's second derivative is > 0."""
 
-def _interior_q(q, box):
-    mx = 1e-7 * (box.x_max - box.x_min)
-    my = 1e-7 * (box.y_max - box.y_min)
-    return np.array([np.clip(q[0], box.x_min + mx, box.x_max - mx),
-                     np.clip(q[1], box.y_min + my, box.y_max - my)])
+    def __init__(self, exp_point, ue_data, box, params, model):
+        super().__init__(exp_point, ue_data, params, model)
+        self.x_hat = np.array([exp_point.h_hat])
+        self.lo = np.array([box.h_min])
+        self.hi = np.array([box.h_max])
+
+    def at(self, x):
+        ep = self.ep
+        h = x[0]
+        d_sq = ep.horiz_sq_hat + h * h
+        v = h / np.sqrt(d_sq)
+        if np.any(v < V_FLOOR):
+            return None
+        e = _exp_term(v, self.params)
+        z = (1.0 + self.ce * (self.e_hat - e)
+             - self.cq * (h * h - ep.h_hat ** 2))
+        return v, z, d_sq, e
+
+    def __call__(self, x):
+        terms = self.at(x)
+        value = self._value(terms)
+        if value is None:
+            return _OUTSIDE
+        f, w = value
+        _, z, d_sq, e = terms
+        h = x[0]
+        s = self.ep.horiz_sq_hat
+        k4 = self.params.k4
+        dv = s / d_sq ** 1.5
+        d2v = -3.0 * s * h / d_sq ** 2.5
+        dz = self.ce * k4 * e * dv - 2.0 * self.cq * h
+        d2z = self.ce * k4 * e * (d2v - k4 * dv ** 2) - 2.0 * self.cq
+        grad = -float(np.sum(w * dz))
+        curv = float(np.sum(w * (2.0 * dz ** 2 / z - d2z)))
+        return f, np.array([grad]), np.array([[curv]])
+
+    def place(self, x):
+        return self.ep.q_hat, x[0]
+
+    def position(self, x):
+        return np.float64(x[0])
 
 
 def solve_horizontal(exp_point: ExpansionPoint, ue_data, box, params,
@@ -362,188 +396,12 @@ def solve_horizontal(exp_point: ExpansionPoint, ue_data, box, params,
 
     ue_data is (data_bits, cycles, tx_powers, cpu_hz) for the served UEs.
     """
-    data_bits, cycles, tx_powers, cpu_hz = ue_data
-    s = len(exp_point.r_hat)
-    h_fix = exp_point.h_hat
-    use_v = model == "rician"
-    if use_v:
-        coef_exp, coef_quad = psi_coefficients(exp_point, params)
-    else:
-        coef_exp = np.zeros(s)
-        coef_quad = los_coefficient(exp_point.d_sq_hat, exp_point.gamma, params)
-
-    q_sl = slice(0, 2)
-    if use_v:
-        v_sl = slice(2, 2 + s)
-        z_sl = slice(2 + s, 2 + 2 * s)
-        n = 3 + 2 * s
-    else:
-        v_sl = None
-        z_sl = slice(2, 2 + s)
-        n = 3 + s
-    mu_ix = n - 1
-
-    a = data_bits / exp_point.r_hat
-    c_fix = float(np.sum(cycles / cpu_hz))
-    ce = coef_exp / exp_point.r_hat
-    cq = coef_quad / exp_point.r_hat
-    e_hat = _exp_term(exp_point.v_hat, params)
-    rhs = 1.0 + cq * exp_point.horiz_sq_hat
-    if use_v:
-        rhs = rhs + ce * e_hat
-
-    blocks = [_TimeBlock(a, c_fix, n, z_sl, mu_ix),
-              _QuadExpBlock(ce, cq, rhs, exp_point.ue_pos, params, n,
-                            q_sl, v_sl, z_sl)]
-    if use_v:
-        slope = exp_point.h_hat / (2.0 * exp_point.d_sq_hat ** 1.5)
-        v_rhs = exp_point.v_hat + slope * exp_point.horiz_sq_hat
-        blocks.append(_VBoundBlock(slope, v_rhs, exp_point.ue_pos, n,
-                                   q_sl, v_sl))
-
-    lo = np.full(n, -np.inf)
-    hi = np.full(n, np.inf)
-    lo[q_sl] = [box.x_min, box.y_min]
-    hi[q_sl] = [box.x_max, box.y_max]
-    if use_v:
-        lo[v_sl] = V_FLOOR
-        hi[v_sl] = 1.0
-    lo[z_sl] = Z_FLOOR / exp_point.r_hat
-    lo[mu_ix] = 0.0
-    hi[mu_ix] = MU_CAP
-
-    prog = ConvexProgram(n=n, c=np.eye(n)[mu_ix], blocks=blocks, lo=lo, hi=hi)
-
-    x0 = np.zeros(n)
-    x0[q_sl] = _interior_q(exp_point.q_hat, box)
-    sq0 = np.sum((x0[q_sl][None, :] - exp_point.ue_pos) ** 2, axis=-1)
-    if use_v:
-        v0 = np.clip(np.minimum(exp_point.v_hat,
-                                v_rhs - slope * sq0) * (1 - 1e-6),
-                     2 * V_FLOOR, 1.0 - 1e-9)
-        x0[v_sl] = v0
-        slack = rhs - ce * _exp_term(v0, params) - cq * sq0
-    else:
-        slack = rhs - cq * sq0
-    x0[z_sl] = np.maximum(slack * (1 - 1e-6), 2 * Z_FLOOR / exp_point.r_hat)
-    x0[mu_ix] = min(float(np.sum(a / x0[z_sl])) + c_fix + 1e-6, MU_CAP) * (1 + 1e-6)
-
-    res = solve_convex(prog, x0, tol=tol, max_newton=max_newton)
-    if res.x is None or res.status in (Status.INFEASIBLE,
-                                       Status.NUMERICAL_FAILURE):
-        t_old = true_uav_time(exp_point.q_hat, h_fix, exp_point.ue_pos,
-                              data_bits, cycles, tx_powers, cpu_hz, params,
-                              model)
-        return SubproblemSolution(position=exp_point.q_hat.copy(),
-                                  v=exp_point.v_hat.copy(),
-                                  z=exp_point.r_hat.copy(), mu=t_old,
-                                  status=res.status, accepted=False)
-
-    q_new = res.x[q_sl].copy()
-    t_old = true_uav_time(exp_point.q_hat, h_fix, exp_point.ue_pos, data_bits,
-                          cycles, tx_powers, cpu_hz, params, model)
-    t_new = true_uav_time(q_new, h_fix, exp_point.ue_pos, data_bits, cycles,
-                          tx_powers, cpu_hz, params, model)
-    if t_new > t_old + 1e-9:
-        return SubproblemSolution(position=exp_point.q_hat.copy(),
-                                  v=exp_point.v_hat.copy(),
-                                  z=exp_point.r_hat.copy(), mu=t_old,
-                                  status=res.status, accepted=False)
-    v_out = res.x[v_sl].copy() if use_v else exp_point.v_hat.copy()
-    return SubproblemSolution(position=q_new, v=v_out,
-                              z=res.x[z_sl] * exp_point.r_hat,
-                              mu=float(res.x[mu_ix]), status=res.status,
-                              accepted=True)
+    return _Horizontal(exp_point, ue_data, box, params,
+                       model).solve(tol, max_newton)
 
 
 def solve_vertical(exp_point: ExpansionPoint, ue_data, box, params,
                    tol=1e-8, max_newton=4000, model="rician"):
     """One SCA step on a UAV's altitude at fixed horizontal position."""
-    data_bits, cycles, tx_powers, cpu_hz = ue_data
-    s = len(exp_point.r_hat)
-    use_v = model == "rician"
-    if use_v:
-        coef_exp, coef_quad = phi_coefficients(exp_point, params)
-    else:
-        coef_exp = np.zeros(s)
-        coef_quad = los_coefficient(exp_point.d_sq_hat, exp_point.gamma, params)
-
-    h_ix = 0
-    if use_v:
-        v_sl = slice(1, 1 + s)
-        z_sl = slice(1 + s, 1 + 2 * s)
-        n = 2 + 2 * s
-    else:
-        v_sl = None
-        z_sl = slice(1, 1 + s)
-        n = 2 + s
-    mu_ix = n - 1
-
-    a = data_bits / exp_point.r_hat
-    c_fix = float(np.sum(cycles / cpu_hz))
-    ce = coef_exp / exp_point.r_hat
-    cq = coef_quad / exp_point.r_hat
-    e_hat = _exp_term(exp_point.v_hat, params)
-    rhs = 1.0 + cq * exp_point.h_hat ** 2
-    if use_v:
-        rhs = rhs + ce * e_hat
-
-    blocks = [_TimeBlock(a, c_fix, n, z_sl, mu_ix),
-              _VertRateBlock(ce, cq, rhs, params, n, h_ix, v_sl, z_sl)]
-    if use_v:
-        blocks.append(_SineBlock(exp_point.horiz_sq_hat, n, h_ix, v_sl))
-
-    lo = np.full(n, -np.inf)
-    hi = np.full(n, np.inf)
-    lo[h_ix] = box.h_min
-    hi[h_ix] = box.h_max
-    if use_v:
-        lo[v_sl] = V_FLOOR
-        hi[v_sl] = 1.0
-    lo[z_sl] = Z_FLOOR / exp_point.r_hat
-    lo[mu_ix] = 0.0
-    hi[mu_ix] = MU_CAP
-
-    prog = ConvexProgram(n=n, c=np.eye(n)[mu_ix], blocks=blocks, lo=lo, hi=hi)
-
-    x0 = np.zeros(n)
-    margin = max(1e-7 * (box.h_max - box.h_min), 1e-9)
-    h0 = float(np.clip(exp_point.h_hat, box.h_min + margin,
-                       box.h_max - margin))
-    x0[h_ix] = h0
-    if use_v:
-        v_true0 = h0 / np.sqrt(exp_point.horiz_sq_hat + h0 ** 2)
-        v0 = np.clip(v_true0 * (1 - 1e-6), 2 * V_FLOOR, 1.0 - 1e-12)
-        x0[v_sl] = v0
-        slack = rhs - ce * _exp_term(v0, params) - cq * h0 ** 2
-    else:
-        slack = rhs - cq * h0 ** 2
-    x0[z_sl] = np.maximum(slack * (1 - 1e-6), 2 * Z_FLOOR / exp_point.r_hat)
-    x0[mu_ix] = min(float(np.sum(a / x0[z_sl])) + c_fix + 1e-6, MU_CAP) * (1 + 1e-6)
-
-    res = solve_convex(prog, x0, tol=tol, max_newton=max_newton)
-    if res.x is None or res.status in (Status.INFEASIBLE,
-                                       Status.NUMERICAL_FAILURE):
-        t_old = true_uav_time(exp_point.q_hat, exp_point.h_hat,
-                              exp_point.ue_pos, data_bits, cycles, tx_powers,
-                              cpu_hz, params, model)
-        return SubproblemSolution(position=np.float64(exp_point.h_hat),
-                                  v=exp_point.v_hat.copy(),
-                                  z=exp_point.r_hat.copy(), mu=t_old,
-                                  status=res.status, accepted=False)
-
-    h_new = float(res.x[h_ix])
-    t_old = true_uav_time(exp_point.q_hat, exp_point.h_hat, exp_point.ue_pos,
-                          data_bits, cycles, tx_powers, cpu_hz, params, model)
-    t_new = true_uav_time(exp_point.q_hat, h_new, exp_point.ue_pos, data_bits,
-                          cycles, tx_powers, cpu_hz, params, model)
-    if t_new > t_old + 1e-9:
-        return SubproblemSolution(position=np.float64(exp_point.h_hat),
-                                  v=exp_point.v_hat.copy(),
-                                  z=exp_point.r_hat.copy(), mu=t_old,
-                                  status=res.status, accepted=False)
-    v_out = res.x[v_sl].copy() if use_v else exp_point.v_hat.copy()
-    return SubproblemSolution(position=np.float64(h_new), v=v_out,
-                              z=res.x[z_sl] * exp_point.r_hat,
-                              mu=float(res.x[mu_ix]), status=res.status,
-                              accepted=True)
+    return _Vertical(exp_point, ue_data, box, params,
+                     model).solve(tol, max_newton)

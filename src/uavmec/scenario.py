@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,6 +128,15 @@ class Scenario:
         for i, ue in enumerate(self.ues):
             if not box.contains_horizontal(ue.x, ue.y):
                 raise ScenarioError(f"ue[{i}] position outside the area box")
+        # struct-of-arrays view of the UEs, built once and read-only
+        for name, values in (
+                ("_positions", [[u.x, u.y] for u in self.ues]),
+                ("_data_bits", [u.data_bits for u in self.ues]),
+                ("_cycles", [u.cycles for u in self.ues]),
+                ("_tx_powers", [u.tx_power_w for u in self.ues])):
+            arr = np.array(values)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_ues(self):
@@ -135,19 +145,19 @@ class Scenario:
     @property
     def positions(self):
         """(N, 2) array of UE positions."""
-        return np.array([[u.x, u.y] for u in self.ues])
+        return self._positions
 
     @property
     def data_bits(self):
-        return np.array([u.data_bits for u in self.ues])
+        return self._data_bits
 
     @property
     def cycles(self):
-        return np.array([u.cycles for u in self.ues])
+        return self._cycles
 
     @property
     def tx_powers(self):
-        return np.array([u.tx_power_w for u in self.ues])
+        return self._tx_powers
 
 
 def generate(seed, n_ues, fleet: FleetConfig | None = None,
@@ -216,54 +226,82 @@ def _get(d, key, where):
     return d[key]
 
 
+def _object(d, key, where):
+    value = _get(d, key, where)
+    if not isinstance(value, dict):
+        raise ScenarioError(f"field '{key}' in {where} must be an object")
+    return value
+
+
+def _check_number(value, key, where):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ScenarioError(f"field '{key}' in {where} must be a finite "
+                            f"number, got {value!r}")
+    return value
+
+
+def _number(d, key, where):
+    return _check_number(_get(d, key, where), key, where)
+
+
+def _integer(d, key, where):
+    value = _get(d, key, where)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"field '{key}' in {where} must be an integer, "
+                            f"got {value!r}")
+    return value
+
+
 def _from_dict(doc: dict) -> Scenario:
-    version = _get(doc, "schema_version", "document root")
+    if not isinstance(doc, dict):
+        raise ScenarioError("scenario document must be a JSON object")
+    version = _integer(doc, "schema_version", "document root")
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema_version {version}")
-    ch = _get(doc, "channel", "document root")
+    ch = _object(doc, "channel", "document root")
     try:
         channel = ChannelParams(
-            bandwidth_hz=_get(ch, "bandwidth_hz", "channel"),
-            ref_gain=_get(ch, "ref_gain", "channel"),
-            pathloss_exp=_get(ch, "pathloss_exp", "channel"),
-            noise_w=_get(ch, "noise_w", "channel"),
-            snr_gap=_get(ch, "snr_gap", "channel"),
-            k1=_get(ch, "k1", "channel"), k2=_get(ch, "k2", "channel"),
-            k3=_get(ch, "k3", "channel"), k4=_get(ch, "k4", "channel"),
-            rician_a1=ch.get("rician_a1", 1.0),
-            rician_a2=ch.get("rician_a2", 1.0),
+            **{key: _number(ch, key, "channel")
+               for key in ("bandwidth_hz", "ref_gain", "pathloss_exp",
+                           "noise_w", "snr_gap", "k1", "k2", "k3", "k4")},
+            **{key: _check_number(ch.get(key, 1.0), key, "channel")
+               for key in ("rician_a1", "rician_a2")},
         )
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioError(f"channel: {exc}") from exc
-    fl = _get(doc, "fleet", "document root")
-    bx = _get(fl, "box", "fleet")
+    fl = _object(doc, "fleet", "document root")
+    bx = _object(fl, "box", "fleet")
     try:
-        box = Box(
-            x_min=_get(bx, "x_min_m", "fleet.box"),
-            x_max=_get(bx, "x_max_m", "fleet.box"),
-            y_min=_get(bx, "y_min_m", "fleet.box"),
-            y_max=_get(bx, "y_max_m", "fleet.box"),
-            h_min=_get(bx, "h_min_m", "fleet.box"),
-            h_max=_get(bx, "h_max_m", "fleet.box"),
-        )
-        fleet = FleetConfig(num_uavs=_get(fl, "num_uavs", "fleet"),
-                            cpu_hz=_get(fl, "cpu_hz", "fleet"), box=box)
+        box = Box(**{edge: _number(bx, f"{edge}_m", "fleet.box")
+                     for edge in ("x_min", "x_max", "y_min", "y_max",
+                                  "h_min", "h_max")})
+        fleet = FleetConfig(num_uavs=_integer(fl, "num_uavs", "fleet"),
+                            cpu_hz=_number(fl, "cpu_hz", "fleet"), box=box)
     except ScenarioError:
         raise
     except ValueError as exc:
         raise ScenarioError(f"fleet: {exc}") from exc
-    ues = []
-    for i, u in enumerate(_get(doc, "ues", "document root")):
+    ues = _get(doc, "ues", "document root")
+    if not isinstance(ues, list):
+        raise ScenarioError("field 'ues' in document root must be a list")
+    parsed = []
+    for i, u in enumerate(ues):
         where = f"ues[{i}]"
+        if not isinstance(u, dict):
+            raise ScenarioError(f"{where} must be an object")
         try:
-            ues.append(Ue(x=_get(u, "x_m", where), y=_get(u, "y_m", where),
-                          data_bits=_get(u, "data_bits", where),
-                          cycles=_get(u, "cycles", where),
-                          tx_power_w=_get(u, "tx_power_w", where)))
+            parsed.append(Ue(x=_number(u, "x_m", where),
+                             y=_number(u, "y_m", where),
+                             data_bits=_number(u, "data_bits", where),
+                             cycles=_number(u, "cycles", where),
+                             tx_power_w=_number(u, "tx_power_w", where)))
         except ScenarioError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
-    return Scenario(ues=tuple(ues), fleet=fleet, channel=channel,
-                    seed=_get(doc, "seed", "document root"))
+    return Scenario(ues=tuple(parsed), fleet=fleet, channel=channel,
+                    seed=_integer(doc, "seed", "document root"))
 
 
 def save(scenario: Scenario, path):

@@ -1,5 +1,9 @@
 """Log-barrier interior-point solver for smooth convex programs.
 
+A general-purpose reference for the tests: ``sca_epigraph`` states the
+placement steps as epigraph programs for it, against which the reduced
+projected-Newton steps in ``uavmec.placement`` are cross-checked.
+
 Problems have a linear objective, smooth convex inequality constraints
 g_k(x) <= 0 supplied as blocks (vectorized value/jacobian/weighted-hessian
 callbacks), and box bounds. The path-following schedule is t0 = 1,
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp import SolveStatus, Status
+from uavmec.lp import SolveStatus, Status
 
 
 class ConstraintBlock:

@@ -4,8 +4,8 @@ quadratic programs against an in-repo projected-gradient reference."""
 import numpy as np
 import pytest
 
-from uavmec.barrier import (ConstraintBlock, ConvexProgram,
-                            FunctionConstraint, solve_convex)
+from barrier import (ConstraintBlock, ConvexProgram, FunctionConstraint,
+                     solve_convex)
 from uavmec.lp import Status
 
 

@@ -1,6 +1,7 @@
 """CLI: exit codes, output files, determinism, and the verify suites."""
 
 import json
+import subprocess
 
 import numpy as np
 import pytest
@@ -78,6 +79,40 @@ class TestSolve:
         assert "error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("where, key, value", [
+        ("ue", "x_m", "12.5"),
+        ("fleet", "num_uavs", 2.5),
+    ])
+    def test_wrong_field_type_is_error(self, scenario_file, tmp_path, capsys,
+                                       where, key, value):
+        doc = json.loads(scenario_file.read_text())
+        (doc["ues"][0] if where == "ue" else doc["fleet"])[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = cli.main(["solve", "--scenario", str(bad), "--restarts", "1",
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error" in err and key in err
+
+    def test_git_describe_runs_once(self, scenario_file, tmp_path,
+                                    monkeypatch):
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        cli._git_describe.cache_clear()
+        code = cli.main(["solve", "--scenario", str(scenario_file),
+                         "--method", "all", "--restarts", "1",
+                         "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert len(calls) == 1
+
+
 class TestSweep:
     SPEC = {
         "sweep_var": "num_ues",
@@ -133,6 +168,23 @@ class TestSweep:
                          "--out", str(tmp_path / "o")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [
+        {"values": [3], "methods": ["hpo"]},
+        {"sweep_var": "num_ues", "values": [3.5], "methods": ["hpo"]},
+        {"sweep_var": "num_ues", "values": [3], "methods": ["magic"]},
+        {"sweep_var": "num_ues", "values": [3], "methods": ["hpo"],
+         "num_uavs": "2"},
+        [1, 2],
+    ])
+    def test_malformed_spec_is_error(self, tmp_path, capsys, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code = cli.main(["sweep", "--spec", str(spec_path),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unsorted_values_rejected(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

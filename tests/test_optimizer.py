@@ -10,7 +10,8 @@ from uavmec import oracle
 from uavmec.optimizer import (Deployment, OptimizerConfig, completion_time,
                               kmeans, solve, solve_clbo, solve_hpo,
                               solve_proposed, solve_vpo)
-from uavmec.scenario import FleetConfig, generate
+from uavmec.channel import ChannelParams
+from uavmec.scenario import FleetConfig, Scenario, Ue, generate
 
 
 def quiet_solve(sc, method, config):
@@ -73,9 +74,20 @@ class TestKmeans:
         assert sorted(labels.tolist()) == [0, 1, 2]
         assert np.allclose(np.sort(centroids, axis=0), np.sort(pts, axis=0))
 
-    def test_k_larger_than_n_rejected(self):
-        with pytest.raises(ValueError):
-            kmeans(np.zeros((2, 2)), 3)
+    def test_k_larger_than_n_leaves_extra_clusters_empty(self):
+        pts = np.array([[0.0, 0.0], [10.0, 0.0]])
+        centroids, labels = kmeans(pts, 3, seed=0)
+        assert len(set(labels.tolist())) == 2
+        assert centroids.shape == (3, 2)
+        # every centroid is one of the points: the spare one is a duplicate
+        assert all(any(np.array_equal(c, p) for p in pts) for c in centroids)
+
+    def test_empty_cluster_takes_farthest_point(self):
+        # all points coincide: k-means++ seeds both centroids on them and
+        # every point ties to cluster 0; the repair moves the lowest index
+        centroids, labels = kmeans(np.full((6, 2), 50.0), 2, seed=0)
+        assert labels.tolist() == [1, 0, 0, 0, 0, 0]
+        assert np.all(centroids == 50.0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -189,3 +201,29 @@ def test_solver_entry_points_agree(medium_scenario):
         warnings.simplefilter("ignore")
         direct = solve_hpo(medium_scenario, cfg).mu
     assert by_name == direct
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("method", ["proposed", "hpo", "vpo", "clbo"])
+    def test_more_uavs_than_ues(self, method):
+        sc = generate(1, 3, FleetConfig(num_uavs=5))
+        rep = quiet_solve(sc, method, OptimizerConfig(restarts=1, seed=0))
+        assert np.isfinite(rep.mu) and rep.mu > 0
+        assert np.all(rep.association.sum(axis=1) == 1)
+        box = sc.fleet.box
+        assert np.all((box.h_min <= rep.deployment.h)
+                      & (rep.deployment.h <= box.h_max))
+
+    def test_vpo_splits_colocated_ues(self):
+        ues = tuple(Ue(x=50.0, y=50.0, data_bits=1e6, cycles=3e8)
+                    for _ in range(6))
+        sc = Scenario(ues=ues, fleet=FleetConfig(num_uavs=2),
+                      channel=ChannelParams(), seed=0)
+        cfg = OptimizerConfig(restarts=1, seed=0)
+        vpo = quiet_solve(sc, "vpo", cfg)
+        assert np.all(vpo.association.sum(axis=0) >= 1)
+        # one UAV serving all six takes twice as long as proposed's 3 + 3
+        alone = completion_time(sc, vpo.deployment,
+                                np.column_stack([np.ones(6), np.zeros(6)]))[0]
+        assert vpo.mu < alone
+        assert quiet_solve(sc, "proposed", cfg).mu <= vpo.mu + 1e-9

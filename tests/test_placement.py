@@ -4,8 +4,10 @@ horizontal/vertical solves against brute-force references."""
 import numpy as np
 import pytest
 
+import sca_epigraph
 from uavmec import channel, oracle, placement
 from uavmec.channel import ChannelParams
+from uavmec.lp import Status
 from uavmec.placement import ExpansionPoint
 from uavmec.scenario import Box, FleetConfig, generate
 
@@ -227,3 +229,85 @@ class TestVerticalStep:
                          rng.uniform(0, 100, size=(2, 2)), params)
             sol = placement.solve_vertical(ep, ue_data_for(ep), box, params)
             assert box.h_min - 1e-9 <= float(sol.position) <= box.h_max + 1e-9
+
+
+def _captured_solve(monkeypatch):
+    """Record the SolveStatus of every placement.solve_convex call."""
+    calls = []
+    inner = placement.solve_convex
+
+    def recording(*args, **kwargs):
+        calls.append(inner(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(placement, "solve_convex", recording)
+    return calls
+
+
+class TestAgainstBarrierReference:
+    """The reduced projected-Newton steps against the epigraph programs
+    they were derived from, solved by the log-barrier reference."""
+
+    @pytest.mark.parametrize("model", ["rician", "los"])
+    def test_random_expansion_points(self, params, model, monkeypatch):
+        calls = _captured_solve(monkeypatch)
+        rng = np.random.default_rng(2024 if model == "rician" else 2025)
+        box = Box()
+        for k in range(24):
+            s = 1 + k % 20
+            pos = rng.uniform(0, 100, size=(s, 2))
+            q_hat = rng.uniform(0, 100, size=2)
+            h_hat = float(rng.uniform(40, 80))
+            bits = 10 ** rng.uniform(3, 9, size=s)
+            data = (bits, 300.0 * bits, np.full(s, 0.1), 2e9)
+            ep = make_ep(q_hat, h_hat, pos, params, model=model)
+            for ours, ref in ((placement.solve_horizontal,
+                               sca_epigraph.horizontal),
+                              (placement.solve_vertical,
+                               sca_epigraph.vertical)):
+                ours(ep, data, box, params, model=model)
+                got = calls[-1]
+                want, want_pos = ref(ep, data, box, params, model=model)
+                assert got.status is Status.OPTIMAL
+                assert want.status is Status.OPTIMAL
+                assert got.iterations <= 15
+                assert got.objective <= want.objective + 1e-8
+                assert np.max(np.abs(got.x - want_pos)) <= 1e-3, (k, ours)
+
+
+class TestDegenerateSteps:
+    def _check(self, ep, box, params, model):
+        data = ue_data_for(ep)
+        for step in (placement.solve_horizontal, placement.solve_vertical):
+            sol = step(ep, data, box, params, model=model)
+            assert sol.accepted or sol.status in (Status.INFEASIBLE,
+                                                  Status.NUMERICAL_FAILURE)
+            assert np.all(np.isfinite(sol.position)) and np.isfinite(sol.mu)
+            assert np.all(np.isfinite(sol.v)) and np.all(np.isfinite(sol.z))
+            if step is placement.solve_horizontal:
+                assert box.contains_horizontal(*sol.position, tol=0.0)
+            else:
+                assert box.h_min <= sol.position <= box.h_max
+
+    @pytest.mark.parametrize("model", ["rician", "los"])
+    @pytest.mark.parametrize("case", ["below", "colocated", "corner",
+                                      "h_min", "h_max"])
+    def test_accepted_or_safeguarded(self, params, model, case):
+        box = Box()
+        q_hat, h_hat = [30.0, 70.0], 60.0
+        pos = [[30.0, 70.0], [80.0, 10.0]]
+        if case == "colocated":
+            pos = [[55.0, 45.0]] * 4
+        elif case == "corner":
+            q_hat = [box.x_max, box.y_min]
+        elif case in ("h_min", "h_max"):
+            h_hat = getattr(box, case)
+        self._check(make_ep(q_hat, h_hat, pos, params, model=model), box,
+                    params, model)
+
+    def test_ue_below_is_stationary(self, params):
+        box = Box()
+        ep = make_ep([40.0, 40.0], 60.0, [[40.0, 40.0]], params)
+        sol = placement.solve_horizontal(ep, ue_data_for(ep), box, params)
+        assert sol.accepted
+        assert sol.position == pytest.approx([40.0, 40.0], abs=1e-12)

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uavmec import scenario as sc_mod
 from uavmec.scenario import (Box, FleetConfig, Scenario, ScenarioError,
@@ -120,6 +122,33 @@ class TestSerialization:
         with pytest.raises(OSError):
             load(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("path, value", [
+        (("ues", 0, "x_m"), "12.5"),
+        (("ues", 0, "data_bits"), True),
+        (("ues", 1, "y_m"), None),
+        (("fleet", "num_uavs"), 2.5),
+        (("fleet", "num_uavs"), True),
+        (("fleet", "box", "x_max_m"), float("inf")),
+        (("channel", "k1"), None),
+        (("channel", "rician_a1"), "1"),
+        (("ues", 1), [1.0, 2.0]),
+        (("ues",), {"x_m": 1.0}),
+        (("fleet",), []),
+        (("seed",), 1.5),
+    ])
+    def test_wrong_types_rejected(self, tmp_path, path, value):
+        doc = json.loads(json.dumps(sc_mod._to_dict(generate(0, 2))))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ScenarioError, match=str(path[-1])):
+            sc_mod._from_dict(doc)
+
+    def test_non_object_document_rejected(self):
+        with pytest.raises(ScenarioError, match="object"):
+            sc_mod._from_dict([1, 2])
+
     def test_units_in_key_names(self, tmp_path):
         path = tmp_path / "sc.json"
         save(generate(0, 2), path)
@@ -135,3 +164,56 @@ def test_array_properties_match_ues():
         assert sc.positions[i, 1] == ue.y
         assert sc.data_bits[i] == ue.data_bits
         assert sc.cycles[i] == ue.cycles
+
+
+def test_array_properties_built_once_and_read_only():
+    sc = generate(1, 4)
+    for name in ("positions", "data_bits", "cycles", "tx_powers"):
+        arr = getattr(sc, name)
+        assert getattr(sc, name) is arr
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert sc.positions.shape == (4, 2)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10 ** 6)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, prefix + (i,))
+
+
+_DOC = sc_mod._to_dict(generate(0, 2, FleetConfig(num_uavs=2)))
+_DOC_PATHS = list(_paths(_DOC))[1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(_DOC_PATHS), value=_JSON_VALUES,
+       delete=st.booleans())
+def test_mutated_document_is_scenario_or_scenario_error(path, value, delete):
+    doc = json.loads(json.dumps(_DOC))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if delete:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    try:
+        sc = sc_mod._from_dict(doc)
+    except ScenarioError:
+        return
+    assert isinstance(sc, Scenario)
+    assert np.all(np.isfinite(sc.positions)) and sc.fleet.num_uavs >= 1
