@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import channel
-from .lp import LinearProgram, SolveStatus, Status, solve_lp
+from .lp import LinearProgram, Status, solve_lp
 
 
 class AssociationError(RuntimeError):
@@ -34,14 +34,8 @@ def service_time_matrix(scenario, deployment, model="rician"):
     q = deployment.q                              # (M, 2)
     h = deployment.h                              # (M,)
     horiz_sq = np.sum((pos[:, None, :] - q[None, :, :]) ** 2, axis=-1)
-    p = scenario.tx_powers[:, None]
-    if model == "rician":
-        v = h[None, :] / np.sqrt(horiz_sq + h[None, :] ** 2)
-        rates = channel.outage_rate(horiz_sq, h[None, :], v, p, scenario.channel)
-    elif model == "los":
-        rates = channel.los_rate(horiz_sq, h[None, :], p, scenario.channel)
-    else:
-        raise ValueError(f"unknown channel model '{model}'")
+    rates = channel.rate(horiz_sq, h[None, :], scenario.tx_powers[:, None],
+                         scenario.channel, model)
     upload = scenario.data_bits[:, None] / rates
     compute = scenario.cycles[:, None] / scenario.fleet.cpu_hz
     return upload + compute

@@ -1,4 +1,4 @@
-"""Air-to-ground channel model: geometry, Rician factor, and outage rate.
+"""Air-to-ground channel model: the outage rate and its pure-LoS baseline.
 
 All functions are pure and accept scalars or numpy arrays (broadcasting).
 Units are SI throughout: meters, watts, bits/s.
@@ -6,7 +6,7 @@ Units are SI throughout: meters, watts, bits/s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,10 +15,8 @@ import numpy as np
 class ChannelParams:
     """Link-budget and logistic-rate constants.
 
-    ``rician_a1`` / ``rician_a2`` feed the elevation-dependent Rician factor
-    only, which is a diagnostic; the rate model uses k1..k4 exclusively.
-    The defaults for a1/a2 are placeholders (the environment constants are
-    not pinned by our parameter set), as is ``pathloss_exp = 2.0``.
+    ``pathloss_exp = 2.0`` is a placeholder: the exponent is not pinned by
+    our parameter set.
     """
 
     bandwidth_hz: float = 1e7
@@ -30,8 +28,6 @@ class ChannelParams:
     k2: float = 0.99
     k3: float = -4.7
     k4: float = 8.9
-    rician_a1: float = 1.0
-    rician_a2: float = 1.0
 
     def __post_init__(self):
         if not self.bandwidth_hz > 0:
@@ -56,52 +52,6 @@ class ChannelParams:
     def gamma(self, tx_power_w):
         """Reference SNR: p * beta0 / (sigma^2 * Gamma)."""
         return tx_power_w * self.ref_gain / (self.noise_w * self.snr_gap)
-
-
-@dataclass(frozen=True)
-class Geometry:
-    """Cached geometry of one UE-UAV link."""
-
-    horiz_dist_sq: float
-    altitude: float
-    dist: float
-    elev_sine: float
-
-    @classmethod
-    def at(cls, q, h, w) -> "Geometry":
-        q = np.asarray(q, dtype=float)
-        w = np.asarray(w, dtype=float)
-        horiz_sq = float(np.sum((q - w) ** 2))
-        d = float(np.sqrt(horiz_sq + h ** 2))
-        return cls(horiz_dist_sq=horiz_sq, altitude=float(h), dist=d,
-                   elev_sine=float(h) / d)
-
-
-def distance(q, h, w):
-    """3D distance between a UAV at (q, h) and a ground point w.
-
-    q, w are 2-vectors (or arrays of them along the last axis); h >= 0.
-    """
-    q = np.asarray(q, dtype=float)
-    w = np.asarray(w, dtype=float)
-    horiz_sq = np.sum((q - w) ** 2, axis=-1)
-    return np.sqrt(horiz_sq + np.asarray(h, dtype=float) ** 2)
-
-
-def elevation_sine(q, h, w):
-    """sin of the elevation angle: h / distance. Requires h > 0."""
-    h = np.asarray(h, dtype=float)
-    if np.any(h <= 0):
-        raise ValueError("elevation_sine requires altitude h > 0")
-    return h / distance(q, h, w)
-
-
-def rician_factor(theta, params: ChannelParams):
-    """Elevation-dependent Rician K-factor, a1 * exp(a2 * theta).
-
-    Diagnostic only; the rate model below does not use it.
-    """
-    return params.rician_a1 * np.exp(params.rician_a2 * np.asarray(theta, dtype=float))
 
 
 def _logistic_factor(v, params: ChannelParams):
@@ -140,3 +90,14 @@ def los_rate(horiz_dist_sq, h, tx_power_w, params: ChannelParams):
     dist_sq = horiz_dist_sq + h ** 2
     snr = params.gamma(tx_power_w) / dist_sq ** (params.pathloss_exp / 2.0)
     return params.bandwidth_hz * np.log2(1.0 + snr)
+
+
+def rate(horiz_dist_sq, h, tx_power_w, params: ChannelParams, model):
+    """Uplink rate in bits/s under ``model``: 'rician' is the outage rate at
+    the exact elevation sine, 'los' the pure line-of-sight rate."""
+    if model == "rician":
+        v = h / np.sqrt(horiz_dist_sq + h ** 2)
+        return outage_rate(horiz_dist_sq, h, v, tx_power_w, params)
+    if model == "los":
+        return los_rate(horiz_dist_sq, h, tx_power_w, params)
+    raise ValueError(f"unknown channel model '{model}'")

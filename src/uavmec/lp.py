@@ -1,6 +1,6 @@
 """Dense two-phase simplex for small/medium LPs.
 
-Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = d,  lo <= x <= hi.
+Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
 
 Pivoting is Dantzig's rule with lowest-index tie-breaks, switching
 permanently to Bland's rule after a run of degenerate pivots, so the
@@ -12,7 +12,7 @@ the primal-dual objective gap.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,6 @@ class LinearProgram:
     b_ub: np.ndarray | None = None
     a_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
-    lo: np.ndarray | None = None      # defaults to 0
-    hi: np.ndarray | None = None      # defaults to +inf
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -58,75 +56,18 @@ class LinearProgram:
             self.b_eq = np.zeros(0)
         self.a_eq = np.atleast_2d(np.asarray(self.a_eq, dtype=float))
         self.b_eq = np.atleast_1d(np.asarray(self.b_eq, dtype=float))
-        self.lo = (np.zeros(n) if self.lo is None
-                   else np.asarray(self.lo, dtype=float))
-        self.hi = (np.full(n, np.inf) if self.hi is None
-                   else np.asarray(self.hi, dtype=float))
         if self.a_ub.shape != (self.b_ub.size, n):
             raise ValueError("a_ub/b_ub dimensions inconsistent with c")
         if self.a_eq.shape != (self.b_eq.size, n):
             raise ValueError("a_eq/b_eq dimensions inconsistent with c")
-        if self.lo.size != n or self.hi.size != n:
-            raise ValueError("bounds dimensions inconsistent with c")
-        if np.any(self.lo > self.hi):
-            raise ValueError("lo > hi for some variable")
-
-
-def _standardize(lp: LinearProgram):
-    """Rewrite as  min c.y  s.t.  A y (<=,=) b,  y >= 0.
-
-    Finite lower bounds are shifted out; variables with an infinite lower
-    bound are split into positive and negative parts; finite upper bounds
-    become extra <= rows. Returns (c, A_ub, b_ub, A_eq, b_eq, recover,
-    offset): recover maps a standard-form point back to original
-    variables, offset is the constant c . shift dropped from the
-    objective (needed to compare dual and primal values).
-    """
-    n = lp.c.size
-    shift = np.where(np.isfinite(lp.lo), lp.lo, 0.0)
-    split = ~np.isfinite(lp.lo)
-    n_split = int(split.sum())
-    # columns: n shifted vars, then negative parts of split vars
-    def widen(a):
-        if n_split == 0:
-            return a.copy()
-        return np.hstack([a, -a[:, split]])
-
-    c = np.concatenate([lp.c, -lp.c[split]])
-    a_ub = widen(lp.a_ub)
-    b_ub = lp.b_ub - lp.a_ub @ shift
-    a_eq = widen(lp.a_eq)
-    b_eq = lp.b_eq - lp.a_eq @ shift
-    # finite upper bounds as rows (on the shifted variable)
-    ub_idx = np.where(np.isfinite(lp.hi))[0]
-    if ub_idx.size:
-        rows = np.zeros((ub_idx.size, c.size))
-        rows[np.arange(ub_idx.size), ub_idx] = 1.0
-        if n_split:
-            for r, j in enumerate(ub_idx):
-                if split[j]:
-                    rows[r, n + np.flatnonzero(np.flatnonzero(split) == j)[0]] = -1.0
-        a_ub = np.vstack([a_ub, rows])
-        b_ub = np.concatenate([b_ub, lp.hi[ub_idx] - shift[ub_idx]])
-
-    split_cols = np.flatnonzero(split)
-
-    def recover(y):
-        x = y[:n] + shift
-        if n_split:
-            x[split_cols] -= y[n:n + n_split]
-        return x
-
-    return c, a_ub, b_ub, a_eq, b_eq, recover, float(lp.c @ shift)
 
 
 class _Tableau:
     """Equality-form tableau  A y = b, b >= 0, with an explicit basis."""
 
-    def __init__(self, a, b, n_real):
+    def __init__(self, a, b):
         self.a = a
         self.b = b
-        self.n_real = n_real
         self.basis = None
         self.degenerate_run = 0
         self.use_bland = False
@@ -189,7 +130,8 @@ class _Tableau:
 
 def solve_lp(lp: LinearProgram, tol: float = 1e-9,
              max_iter: int | None = None) -> SolveStatus:
-    c, a_ub, b_ub, a_eq, b_eq, recover, offset = _standardize(lp)
+    """Minimize ``lp`` over x >= 0 with the two-phase simplex."""
+    c, a_ub, b_ub, a_eq, b_eq = lp.c, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq
     n = c.size
     m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
     m = m_ub + m_eq
@@ -223,7 +165,7 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9,
 
     a0 = a.copy()
     b0 = b.copy()
-    tab = _Tableau(a, b, n_cols)
+    tab = _Tableau(a, b)
     tab.basis = basis
     if max_iter is None:
         max_iter = 200 * (m + total_cols)
@@ -258,14 +200,14 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9,
 
     y = np.zeros(total_cols)
     y[tab.basis] = tab.b
-    x = recover(y[:n])
-    primal = float(lp.c @ x)
+    x = y[:n]
+    primal = float(c @ x)
     # dual point from the final basis of the original equality-form system:
     # solve B^T pi = c_B, dual objective = pi . b0
     try:
         bb = tab.basis.copy()
         pi = np.linalg.lstsq(a0[:, bb].T, c2[bb], rcond=None)[0]
-        dual = float(pi @ b0) + offset
+        dual = float(pi @ b0)
     except np.linalg.LinAlgError:
         return SolveStatus(Status.NUMERICAL_FAILURE, objective=primal, x=x,
                            iterations=tab.iterations)

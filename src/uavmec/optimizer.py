@@ -23,7 +23,6 @@ import numpy as np
 
 from . import association as assoc_mod
 from . import placement
-from .lp import Status
 from .scenario import Scenario
 
 

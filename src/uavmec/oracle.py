@@ -70,9 +70,8 @@ def grid_search(scenario: Scenario, grid: GridSpec | None = None,
     per_ue = np.empty((n, n_nodes))
     for i, ue in enumerate(scenario.ues):
         horiz_sq = (gx - ue.x) ** 2 + (gy - ue.y) ** 2
-        v = gh / np.sqrt(horiz_sq + gh ** 2)
-        r = channel.outage_rate(horiz_sq, gh, v, ue.tx_power_w,
-                                scenario.channel)
+        r = channel.rate(horiz_sq, gh, ue.tx_power_w, scenario.channel,
+                         "rician")
         per_ue[i] = ue.data_bits / r + ue.cycles / scenario.fleet.cpu_hz
 
     best_mu = np.inf
@@ -181,12 +180,9 @@ def bound_domination_sample(scenario: Scenario, n_samples=10 ** 4, seed=0,
             slope = ep.h_hat / (2.0 * ep.d_sq_hat[0] ** 1.5)
             vb = ep.v_hat[0] + slope * (sq - ep.horiz_sq_hat[0])
         worst = max(worst, vb - true_v)
-        phi = placement.phi_coefficients(ep, params)
-        if flip_sign:
-            phi = (-phi[0], -phi[1])
         h_new = rng.uniform(box.h_min, box.h_max)
         v2 = rng.uniform(1e-3, 1.0)
-        lbv = placement.r_lb_vertical(h_new, v2, ep, phi, params)[0]
+        lbv = placement.r_lb_vertical(h_new, v2, ep, coeffs, params)[0]
         truev = float(channel.outage_rate(ep.horiz_sq_hat[0], h_new, v2,
                                           ue.tx_power_w, params))
         worst = max(worst, lbv - truev)

@@ -38,7 +38,7 @@ MU_CAP = 1e9            # seconds
 
 @dataclass(frozen=True)
 class ExpansionPoint:
-    """Geometry and rates of one UAV's served UEs at the current iterate."""
+    """Distances, sines and rates of one UAV's served UEs at an iterate."""
 
     q_hat: np.ndarray          # (2,)
     h_hat: float
@@ -56,10 +56,7 @@ class ExpansionPoint:
         horiz_sq = np.sum((q[None, :] - ue_pos) ** 2, axis=-1)
         d_sq = horiz_sq + h ** 2
         v = h / np.sqrt(d_sq)
-        if model == "rician":
-            r = channel.outage_rate(horiz_sq, h, v, tx_powers, params)
-        else:
-            r = channel.los_rate(horiz_sq, h, tx_powers, params)
+        r = channel.rate(horiz_sq, h, tx_powers, params, model)
         return cls(q_hat=q, h_hat=float(h), ue_pos=ue_pos,
                    horiz_sq_hat=horiz_sq, d_sq_hat=d_sq, v_hat=v, r_hat=r,
                    gamma=np.asarray(params.gamma(tx_powers), dtype=float)
@@ -111,13 +108,7 @@ def los_coefficient(d_sq_hat, gamma, params):
 
 
 def psi_coefficients(exp_point: ExpansionPoint, params):
-    """Horizontal-step bound coefficients (per served UE)."""
-    return taylor_coefficients(exp_point.v_hat, exp_point.d_sq_hat,
-                               exp_point.gamma, params)
-
-
-def phi_coefficients(exp_point: ExpansionPoint, params):
-    """Vertical-step bound coefficients (per served UE)."""
+    """Rate-bound coefficients (per served UE) of both placement steps."""
     return taylor_coefficients(exp_point.v_hat, exp_point.d_sq_hat,
                                exp_point.gamma, params)
 
@@ -153,11 +144,7 @@ def true_uav_time(q, h, ue_pos, data_bits, cycles, tx_powers, cpu_hz, params,
     ue_pos = np.atleast_2d(ue_pos)
     horiz_sq = np.sum((np.asarray(q, dtype=float)[None, :] - ue_pos) ** 2,
                       axis=-1)
-    if model == "rician":
-        v = h / np.sqrt(horiz_sq + h ** 2)
-        r = channel.outage_rate(horiz_sq, h, v, tx_powers, params)
-    else:
-        r = channel.los_rate(horiz_sq, h, tx_powers, params)
+    r = channel.rate(horiz_sq, h, tx_powers, params, model)
     return float(np.sum(data_bits / r + cycles / cpu_hz))
 
 
@@ -277,9 +264,9 @@ class _Step:
     def solve(self, tol, max_newton):
         """Minimize from the expansion point, then apply the descent
         safeguard."""
+        t_old = self.true_time(self.x_hat)
         res = solve_convex(self, self.x_hat, self.lo, self.hi, tol=tol,
                            max_newton=max_newton)
-        t_old = self.true_time(self.x_hat)
         if (res.x is None
                 or res.status in (Status.INFEASIBLE, Status.NUMERICAL_FAILURE)
                 or self.true_time(res.x) > t_old + 1e-9):

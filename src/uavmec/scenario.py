@@ -12,7 +12,6 @@ platform.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -77,10 +76,6 @@ class Ue:
             raise ScenarioError("cycles must be > 0")
         if not self.tx_power_w > 0:
             raise ScenarioError("tx_power_w must be > 0")
-
-    @property
-    def position(self):
-        return np.array([self.x, self.y])
 
 
 @dataclass(frozen=True)
@@ -201,7 +196,6 @@ def _to_dict(scenario: Scenario) -> dict:
             "noise_w": ch.noise_w,
             "snr_gap": ch.snr_gap,
             "k1": ch.k1, "k2": ch.k2, "k3": ch.k3, "k4": ch.k4,
-            "rician_a1": ch.rician_a1, "rician_a2": ch.rician_a2,
         },
         "fleet": {
             "num_uavs": scenario.fleet.num_uavs,
@@ -260,16 +254,14 @@ def _from_dict(doc: dict) -> Scenario:
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema_version {version}")
     ch = _object(doc, "channel", "document root")
+    constants = {key: _number(ch, key, "channel")
+                 for key in ("bandwidth_hz", "ref_gain", "pathloss_exp",
+                             "noise_w", "snr_gap", "k1", "k2", "k3", "k4")}
+    # older writers also stored two unused Rician constants: checked, ignored
+    for key in ("rician_a1", "rician_a2"):
+        _check_number(ch.get(key, 1.0), key, "channel")
     try:
-        channel = ChannelParams(
-            **{key: _number(ch, key, "channel")
-               for key in ("bandwidth_hz", "ref_gain", "pathloss_exp",
-                           "noise_w", "snr_gap", "k1", "k2", "k3", "k4")},
-            **{key: _check_number(ch.get(key, 1.0), key, "channel")
-               for key in ("rician_a1", "rician_a2")},
-        )
-    except ScenarioError:
-        raise
+        channel = ChannelParams(**constants)
     except ValueError as exc:
         raise ScenarioError(f"channel: {exc}") from exc
     fl = _object(doc, "fleet", "document root")

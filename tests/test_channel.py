@@ -1,4 +1,5 @@
-"""Channel model: geometry, reference SNR, and the outage/LoS rates.
+"""Channel model: reference SNR, the outage/LoS rates, and the rate-model
+choice.
 
 Reference values are recomputed in-test with the math module (scalar,
 no numpy) so they cannot share bugs with the vectorized implementation.
@@ -8,11 +9,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from uavmec import channel
-from uavmec.channel import ChannelParams, Geometry
+from uavmec.channel import ChannelParams
 
 
 def scalar_outage_rate(horiz_sq, h, v, p, params):
@@ -54,41 +53,6 @@ class TestParams:
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ChannelParams(**kwargs)
-
-
-class TestGeometry:
-    def test_three_four_five(self):
-        # horizontal 30 m, altitude 40 m: distance 50 m, sine 0.8
-        assert channel.distance([0.0, 0.0], 40.0, [30.0, 0.0]) == pytest.approx(50.0)
-        assert channel.elevation_sine([0.0, 0.0], 40.0, [30.0, 0.0]) == pytest.approx(0.8)
-
-    def test_overhead_sine_is_one(self):
-        assert channel.elevation_sine([5.0, 5.0], 60.0, [5.0, 5.0]) == pytest.approx(1.0)
-
-    def test_zero_altitude_rejected(self):
-        with pytest.raises(ValueError):
-            channel.elevation_sine([0.0, 0.0], 0.0, [1.0, 0.0])
-
-    def test_distance_vectorized(self, rng):
-        q = rng.uniform(0, 100, size=(8, 2))
-        w = rng.uniform(0, 100, size=(8, 2))
-        h = 55.0
-        d = channel.distance(q, h, w)
-        for k in range(8):
-            assert d[k] == pytest.approx(channel.distance(q[k], h, w[k]))
-
-    def test_geometry_cache_consistent(self):
-        g = Geometry.at([10.0, 20.0], 40.0, [40.0, 20.0])
-        assert g.horiz_dist_sq == pytest.approx(900.0)
-        assert g.dist == pytest.approx(50.0)
-        assert g.elev_sine == pytest.approx(0.8)
-
-    @given(hx=st.floats(0, 100), hy=st.floats(0, 100),
-           h=st.floats(1.0, 200.0))
-    @settings(max_examples=50, deadline=None)
-    def test_sine_in_unit_interval(self, hx, hy, h):
-        v = channel.elevation_sine([hx, hy], h, [50.0, 50.0])
-        assert 0.0 < v <= 1.0
 
 
 class TestOutageRate:
@@ -164,7 +128,26 @@ class TestLosRate:
             channel.los_rate(np.nan, 40.0, 0.1, params)
 
 
-def test_rician_factor_grows_with_elevation(params):
-    thetas = np.linspace(0.0, np.pi / 2, 10)
-    k = channel.rician_factor(thetas, params)
-    assert np.all(np.diff(k) > 0)
+class TestRate:
+    def test_rician_is_outage_rate_at_exact_sine(self, params, rng):
+        # horiz 30, h = 40: sine 0.8, the hand value of TestOutageRate
+        assert channel.rate(900.0, 40.0, 0.1, params, "rician") == \
+            pytest.approx(27147505.567153055, rel=1e-9)
+        hsq = rng.uniform(0.0, 2e4, size=20)
+        h = rng.uniform(40.0, 80.0, size=20)
+        got = channel.rate(hsq, h, 0.1, params, "rician")
+        for k in range(20):
+            v = h[k] / math.sqrt(hsq[k] + h[k] * h[k])
+            assert got[k] == pytest.approx(
+                scalar_outage_rate(hsq[k], h[k], v, 0.1, params), rel=1e-12)
+
+    def test_los_is_los_rate(self, params, rng):
+        hsq = rng.uniform(0.0, 2e4, size=20)
+        h = rng.uniform(40.0, 80.0, size=20)
+        np.testing.assert_array_equal(channel.rate(hsq, h, 0.1, params, "los"),
+                                      channel.los_rate(hsq, h, 0.1, params))
+
+    @pytest.mark.parametrize("model", ["Rician", "LoS", "", None])
+    def test_unknown_model_rejected(self, params, model):
+        with pytest.raises(ValueError, match="unknown channel model"):
+            channel.rate(900.0, 40.0, 0.1, params, model)

@@ -24,26 +24,6 @@ def test_equality_constraint():
     assert res.objective == pytest.approx(0.7, abs=1e-9)
 
 
-def test_upper_bounds_respected():
-    res = solve_lp(LinearProgram(c=[-1.0], hi=[2.5]))
-    assert res.status is Status.OPTIMAL
-    assert res.x[0] == pytest.approx(2.5, abs=1e-9)
-
-
-def test_shifted_lower_bound():
-    res = solve_lp(LinearProgram(c=[1.0], lo=[-3.0], hi=[4.0]))
-    assert res.status is Status.OPTIMAL
-    assert res.x[0] == pytest.approx(-3.0, abs=1e-9)
-
-
-def test_free_variable_split():
-    # min x  s.t.  -x <= 5  with x free  ->  x = -5
-    res = solve_lp(LinearProgram(c=[1.0], a_ub=[[-1.0]], b_ub=[5.0],
-                                 lo=[-np.inf]))
-    assert res.status is Status.OPTIMAL
-    assert res.x[0] == pytest.approx(-5.0, abs=1e-9)
-
-
 def test_infeasible_detected():
     # x <= -1 contradicts x >= 0
     res = solve_lp(LinearProgram(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0]))
@@ -95,7 +75,7 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         LinearProgram(c=[1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
     with pytest.raises(ValueError):
-        LinearProgram(c=[1.0], lo=[2.0], hi=[1.0])
+        LinearProgram(c=[1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -108,8 +88,9 @@ def test_matches_reference_solver_on_random_lps(seed):
     # keep a point (the all-ones vector) feasible so most draws are solvable
     b_ub = a_ub @ np.ones(n) + rng.uniform(0.1, 2.0, size=m)
     hi = rng.uniform(2.0, 6.0, size=n)
-    lp = LinearProgram(c=c, a_ub=a_ub, b_ub=b_ub, hi=hi)
-    res = solve_lp(lp)
+    # x <= hi as identity rows of a_ub
+    res = solve_lp(LinearProgram(c=c, a_ub=np.vstack([a_ub, np.eye(n)]),
+                                 b_ub=np.concatenate([b_ub, hi])))
     ref = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=list(zip(np.zeros(n), hi)),
                   method="highs")
     assert ref.status == 0
@@ -128,8 +109,8 @@ def test_matches_reference_solver_with_equalities(seed):
     a_eq = rng.normal(size=(1, n))
     x_feas = rng.uniform(0.5, 1.5, size=n)
     b_eq = a_eq @ x_feas
-    hi = np.full(n, 5.0)
-    res = solve_lp(LinearProgram(c=c, a_eq=a_eq, b_eq=b_eq, hi=hi))
+    res = solve_lp(LinearProgram(c=c, a_ub=np.eye(n), b_ub=np.full(n, 5.0),
+                                 a_eq=a_eq, b_eq=b_eq))
     ref = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, 5.0)] * n,
                   method="highs")
     assert ref.status == 0

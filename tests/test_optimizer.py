@@ -6,12 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from uavmec import oracle
+from uavmec import channel, oracle
 from uavmec.optimizer import (Deployment, OptimizerConfig, completion_time,
                               kmeans, solve, solve_clbo, solve_hpo,
                               solve_proposed, solve_vpo)
 from uavmec.channel import ChannelParams
-from uavmec.scenario import FleetConfig, Scenario, Ue, generate
+from uavmec.scenario import Box, FleetConfig, Scenario, Ue, generate
 
 
 def quiet_solve(sc, method, config):
@@ -161,6 +161,28 @@ class TestProposed:
         mu, _ = completion_time(medium_scenario, rep.deployment,
                                 rep.association)
         assert rep.mu == pytest.approx(mu, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bounds_tight_at_interior_altitude(self, seed):
+        # a 400 m area and a 10-300 m band put the optimal altitudes inside
+        # the band, so the last vertical step moves and its sine and rate
+        # bounds must meet the true values at the SCA fixed point
+        box = Box(0.0, 400.0, 0.0, 400.0, 10.0, 300.0)
+        sc = generate(seed, 20, FleetConfig(num_uavs=3, box=box))
+        rep = quiet_solve(sc, "proposed", OptimizerConfig(
+            restarts=1, seed=seed, rel_tol=1e-7, max_outer_iters=60))
+        dep = rep.deployment
+        assert rep.converged
+        assert np.all((dep.h > box.h_min + 1.0) & (dep.h < box.h_max - 1.0))
+        for j, (served, v, z, accepted) in enumerate(rep.tightness):
+            assert accepted
+            sq = np.sum((dep.q[j] - sc.positions[served]) ** 2, axis=-1)
+            h = dep.h[j]
+            r_true = channel.rate(sq, h, sc.tx_powers[served], sc.channel,
+                                  "rician")
+            np.testing.assert_allclose(v, h / np.sqrt(sq + h * h),
+                                       rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(z, r_true, rtol=1e-5, atol=0.0)
 
 
 class TestBaselines:

@@ -81,8 +81,7 @@ class TestBounds:
         assert r == pytest.approx(ep.r_hat, rel=1e-14)
         assert placement.v_lb(ep.horiz_sq_hat, ep) == pytest.approx(
             ep.v_hat, rel=1e-14)
-        phi = placement.phi_coefficients(ep, params)
-        rv = placement.r_lb_vertical(ep.h_hat, ep.v_hat, ep, phi, params)
+        rv = placement.r_lb_vertical(ep.h_hat, ep.v_hat, ep, coeffs, params)
         assert rv == pytest.approx(ep.r_hat, rel=1e-14)
 
     def test_sine_bound_hand_value(self, params):
@@ -120,6 +119,27 @@ class TestTrueTime:
             np.array([50.0, 50.0]), 60.0, pos[k:k + 1], args[0][k:k + 1],
             args[1][k:k + 1], args[2][k:k + 1], 2e9, params) for k in range(2)]
         assert both == pytest.approx(sum(parts), rel=1e-12)
+
+
+class TestUnknownModel:
+    """A misspelt model name is an error, never a silent LoS solve."""
+
+    def test_expansion_point_rejects(self, params):
+        with pytest.raises(ValueError, match="unknown channel model"):
+            make_ep([50.0, 50.0], 60.0, [[20.0, 20.0]], params, model="Rician")
+
+    def test_true_time_rejects(self, params):
+        with pytest.raises(ValueError, match="unknown channel model"):
+            placement.true_uav_time(
+                np.array([50.0, 50.0]), 60.0, np.array([[20.0, 20.0]]),
+                np.array([1e6]), np.array([3e8]), np.array([0.1]), 2e9,
+                params, model="Rician")
+
+    def test_horizontal_step_rejects(self, params):
+        ep = make_ep([90.0, 90.0], 60.0, [[20.0, 20.0]], params)
+        with pytest.raises(ValueError, match="unknown channel model"):
+            placement.solve_horizontal(ep, ue_data_for(ep), Box(), params,
+                                       model="Rician")
 
 
 class TestHorizontalStep:

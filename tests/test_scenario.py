@@ -145,6 +145,16 @@ class TestSerialization:
         with pytest.raises(ScenarioError, match=str(path[-1])):
             sc_mod._from_dict(doc)
 
+    def test_old_rician_constants_ignored(self, tmp_path):
+        # older writers stored rician_a1/a2, which no rate depends on
+        doc = sc_mod._to_dict(generate(4, 3))
+        old = json.loads(json.dumps(doc))
+        old["channel"].update(rician_a1=2.5, rician_a2=0.3)
+        assert sc_mod._from_dict(old) == sc_mod._from_dict(doc)
+        path = tmp_path / "sc.json"
+        save(sc_mod._from_dict(old), path)
+        assert "rician" not in path.read_text()
+
     def test_non_object_document_rejected(self):
         with pytest.raises(ScenarioError, match="object"):
             sc_mod._from_dict([1, 2])
