@@ -63,6 +63,11 @@ def cmd_gen(args):
     return 0
 
 
+def _csv_header(sc):
+    return (f"# schema={RESULTS_CSV_SCHEMA} seed={sc.seed} "
+            f"git={_git_describe()}\n")
+
+
 def _write_report(report, scenario_path, sc, args, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -74,7 +79,6 @@ def _write_report(report, scenario_path, sc, args, out_dir):
         "per_uav_times_s": report.per_uav_times.tolist(),
         "iterations": report.iterations,
         "converged": report.converged,
-        "wall_s": report.wall_s,
         "extras": report.extras,
         "scenario_file": str(scenario_path),
         "scenario_hash": _file_hash(scenario_path),
@@ -91,16 +95,14 @@ def _write_report(report, scenario_path, sc, args, out_dir):
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     with open(out_dir / f"deployment_{tag}.csv", "w") as fh:
-        fh.write(f"# schema={RESULTS_CSV_SCHEMA} seed={sc.seed} "
-                 f"git={_git_describe()}\n")
+        fh.write(_csv_header(sc))
         fh.write("uav_id,x_m,y_m,h_m\n")
         for j in range(sc.fleet.num_uavs):
             fh.write(f"{j},{report.deployment.q[j, 0]!r},"
                      f"{report.deployment.q[j, 1]!r},"
                      f"{report.deployment.h[j]!r}\n")
     with open(out_dir / f"association_{tag}.csv", "w") as fh:
-        fh.write(f"# schema={RESULTS_CSV_SCHEMA} seed={sc.seed} "
-                 f"git={_git_describe()}\n")
+        fh.write(_csv_header(sc))
         fh.write("ue_id,uav_id\n")
         for i in range(sc.n_ues):
             fh.write(f"{i},{int(np.argmax(report.association[i]))}\n")
@@ -114,16 +116,23 @@ def cmd_solve(args):
         return 1
     methods = METHODS if args.method == "all" else (args.method,)
     worst = 0
+    walls = []
     for method in methods:
         config = _config_from_args(args, args.seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = optimizer.solve(sc, method, config)
         _write_report(report, args.scenario, sc, args, args.out)
+        walls.append((method, report.wall_s))
         print(f"{method}: mu={report.mu:.6f} s, iterations={report.iterations}, "
               f"converged={report.converged}")
         if not report.converged:
             worst = max(worst, 2)
+    with open(Path(args.out) / "timings.csv", "w") as fh:
+        fh.write(_csv_header(sc))
+        fh.write("method,wall_ms\n")
+        for method, wall in walls:
+            fh.write(f"{method},{wall * 1e3:.1f}\n")
     return worst
 
 

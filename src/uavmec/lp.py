@@ -128,9 +128,13 @@ class _Tableau:
         np.maximum(b, 0.0, out=b)
 
 
-def solve_lp(lp: LinearProgram, tol: float = 1e-9,
-             max_iter: int | None = None) -> SolveStatus:
-    """Minimize ``lp`` over x >= 0 with the two-phase simplex."""
+def solve_lp(lp: LinearProgram) -> SolveStatus:
+    """Minimize ``lp`` over x >= 0 with the two-phase simplex.
+
+    Both phases together take at most 200 pivots per row and column of
+    the tableau; an optimum whose primal-dual gap exceeds 1e-7 (relative
+    to max(1, |objective|)) is reported as a numerical failure.
+    """
     c, a_ub, b_ub, a_eq, b_eq = lp.c, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq
     n = c.size
     m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
@@ -167,8 +171,7 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9,
     b0 = b.copy()
     tab = _Tableau(a, b)
     tab.basis = basis
-    if max_iter is None:
-        max_iter = 200 * (m + total_cols)
+    max_iter = 200 * (m + total_cols)
 
     if art_rows:
         c1 = np.zeros(total_cols)
@@ -213,7 +216,7 @@ def solve_lp(lp: LinearProgram, tol: float = 1e-9,
                            iterations=tab.iterations)
     scale = max(1.0, abs(primal))
     kkt = abs(primal - dual) / scale
-    if kkt > max(tol, 1e-7):
+    if kkt > 1e-7:
         return SolveStatus(Status.NUMERICAL_FAILURE, objective=primal, x=x,
                            kkt_residual=kkt, iterations=tab.iterations,
                            dual_objective=dual)

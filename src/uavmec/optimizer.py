@@ -5,7 +5,7 @@ relaxed LP + rounding, (2) per-UAV horizontal SCA step, (3) per-UAV
 vertical SCA step, until the min-max completion time stops improving.
 
 Baselines:
-* hpo  — horizontal-only, altitudes pinned (60 m by default);
+* hpo  — horizontal-only, altitudes pinned at HPO_ALTITUDE (60 m);
 * vpo  — k-means horizontal placement + nearest-centroid association,
   altitude-only optimization;
 * clbo — the full loop under the idealized pure-LoS rate; its report
@@ -24,6 +24,9 @@ import numpy as np
 from . import association as assoc_mod
 from . import placement
 from .scenario import Scenario
+
+HPO_ALTITUDE = 60.0      # meters; hpo pins every UAV here (clipped to the box)
+_KMEANS_ITERS = 100      # Lloyd iterations at most
 
 
 @dataclass
@@ -47,8 +50,6 @@ class OptimizerConfig:
     rel_tol: float = 1e-4
     restarts: int = 3
     seed: int = 0
-    hpo_altitude: float = 60.0
-    solver_tol: float = 1e-8
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
@@ -76,16 +77,20 @@ class SolveReport:
     extras: dict = field(default_factory=dict)
 
 
-def completion_time(scenario: Scenario, deployment: Deployment,
-                    association, model="rician"):
-    """(mu, per-UAV seconds) for a binary association; empty UAVs take 0."""
-    association = np.asarray(association)
-    times = assoc_mod.service_time_matrix(scenario, deployment, model=model)
-    per_uav = np.sum(association * times, axis=0)
+def _loads(association, times):
+    """(mu, per-UAV seconds) of an association under a service-time matrix."""
+    per_uav = np.sum(np.asarray(association) * times, axis=0)
     return float(per_uav.max()), per_uav
 
 
-def kmeans(points, k, seed=0, max_iters=100):
+def completion_time(scenario: Scenario, deployment: Deployment,
+                    association, model="rician"):
+    """(mu, per-UAV seconds) for a binary association; empty UAVs take 0."""
+    return _loads(association, assoc_mod.service_time_matrix(
+        scenario, deployment, model=model))
+
+
+def kmeans(points, k, seed=0):
     """Lloyd's algorithm with k-means++ seeding; returns (centroids, labels).
 
     A cluster left empty takes the point farthest from its own centroid
@@ -107,7 +112,7 @@ def kmeans(points, k, seed=0, max_iters=100):
             centroids[c] = points[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, np.sum((points - centroids[c]) ** 2, axis=1))
     labels = np.zeros(n, dtype=int)
-    for _ in range(max_iters):
+    for _ in range(_KMEANS_ITERS):
         dist = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2,
                       axis=-1)
         new_labels = np.argmin(dist, axis=1)
@@ -147,78 +152,63 @@ def _random_deployment(scenario, rng) -> Deployment:
     return Deployment(q=q, h=h)
 
 
-def _ue_data(scenario, served):
-    return (scenario.data_bits[served], scenario.cycles[served],
-            scenario.tx_powers[served], scenario.fleet.cpu_hz)
-
-
 def _bcd(scenario, config, init: Deployment, model="rician",
          do_horizontal=True, do_vertical=True, fixed_association=None):
-    """Core alternating loop; returns a SolveReport without the method tag."""
+    """Core alternating loop; returns a SolveReport without the method tag.
+
+    Each deployment's service-time matrix is computed once: the matrix at
+    the end of an iteration gives its mu and the next association.
+    """
     box = scenario.fleet.box
-    dep = init.clipped(box).copy()
-    n, m = scenario.n_ues, scenario.fleet.num_uavs
+    dep = init.clipped(box)
+    m = scenario.fleet.num_uavs
     association = fixed_association
+    if fixed_association is None:
+        times = assoc_mod.service_time_matrix(scenario, dep, model=model)
     mu_prev = np.inf
     trace = []
     tightness = [None] * m
     converged = False
-    iterations = 0
-    for it in range(config.max_outer_iters):
-        iterations = it + 1
+    for _ in range(config.max_outer_iters):
         if fixed_association is None:
-            times = assoc_mod.service_time_matrix(scenario, dep, model=model)
-            frac, _ = assoc_mod.solve_relaxed(times)
+            frac = assoc_mod.solve_relaxed(times)[0]
             new_assoc = assoc_mod.round_association(frac)
-            if association is not None:
-                # rounding can regress; keep the incumbent if it is better
-                mu_new = float(np.sum(new_assoc * times, axis=0).max())
-                mu_old = float(np.sum(association * times, axis=0).max())
-                if mu_new > mu_old + 1e-12:
-                    warnings.warn("association rounding regressed; keeping "
-                                  "incumbent assignment", stacklevel=2)
-                    new_assoc = association
+            # rounding can regress; keep the incumbent if it is better
+            if (association is not None and _loads(new_assoc, times)[0]
+                    > _loads(association, times)[0] + 1e-12):
+                warnings.warn("association rounding regressed; keeping "
+                              "incumbent assignment", stacklevel=2)
+                new_assoc = association
             association = new_assoc
         for j in range(m):
             served = np.flatnonzero(association[:, j])
             if served.size == 0:
                 tightness[j] = None
                 continue
-            ue_pos = scenario.positions[served]
-            data = _ue_data(scenario, served)
+            ep = placement.ExpansionPoint.at(
+                dep.q[j], dep.h[j], scenario.positions[served],
+                scenario.tx_powers[served], scenario.channel, model)
+            data = (scenario.data_bits[served], scenario.cycles[served],
+                    scenario.fleet.cpu_hz)
             if do_horizontal:
-                ep = placement.ExpansionPoint.at(
-                    dep.q[j], dep.h[j], ue_pos, scenario.tx_powers[served],
-                    scenario.channel, model=model)
-                sol = placement.solve_horizontal(ep, data, box,
-                                                 scenario.channel,
-                                                 tol=config.solver_tol,
-                                                 model=model)
-                dep.q[j] = np.clip(sol.position,
-                                   [box.x_min, box.y_min],
-                                   [box.x_max, box.y_max])
+                sol = placement.solve_horizontal(ep, data, box)
+                dep.q[j] = sol.position
+                ep = sol.point
             if do_vertical:
-                ep = placement.ExpansionPoint.at(
-                    dep.q[j], dep.h[j], ue_pos, scenario.tx_powers[served],
-                    scenario.channel, model=model)
-                sol = placement.solve_vertical(ep, data, box,
-                                               scenario.channel,
-                                               tol=config.solver_tol,
-                                               model=model)
-                dep.h[j] = float(np.clip(sol.position, box.h_min, box.h_max))
-                tightness[j] = (served, sol.v.copy(), sol.z.copy(),
-                                sol.accepted)
-        mu, per_uav = completion_time(scenario, dep, association, model=model)
+                sol = placement.solve_vertical(ep, data, box)
+                dep.h[j] = sol.position
+                tightness[j] = (served, sol.v, sol.z, sol.accepted)
+        times = assoc_mod.service_time_matrix(scenario, dep, model=model)
+        mu, per_uav = _loads(association, times)
         trace.append(mu)
         if mu_prev < np.inf and abs(mu_prev - mu) <= config.rel_tol * max(
                 mu_prev, 1e-12):
             converged = True
             break
         mu_prev = mu
-    mu, per_uav = completion_time(scenario, dep, association, model=model)
     return SolveReport(method="", mu=mu, mu_trace=trace, deployment=dep,
                        association=association, per_uav_times=per_uav,
-                       iterations=iterations, wall_s=0.0, converged=converged,
+                       iterations=len(trace), wall_s=0.0, converged=converged,
                        tightness=tightness)
 
 
@@ -246,7 +236,7 @@ def solve_proposed(scenario: Scenario, config: OptimizerConfig | None = None):
 def solve_hpo(scenario: Scenario, config: OptimizerConfig | None = None):
     config = config or OptimizerConfig()
     box = scenario.fleet.box
-    h_fix = float(np.clip(config.hpo_altitude, box.h_min, box.h_max))
+    h_fix = float(np.clip(HPO_ALTITUDE, box.h_min, box.h_max))
 
     def runner(init):
         init.h[:] = h_fix

@@ -149,41 +149,42 @@ def bound_domination_sample(scenario: Scenario, n_samples=10 ** 4, seed=0,
     """Max over random feasible samples of (lower bound - true value), for
     the horizontal rate bound, the sine bound, and the vertical rate bound.
 
+    Each sample draws a UE, an expansion point (q_hat, h), a horizontal
+    position q with a sine v, and an altitude with a sine; the bounds are
+    then evaluated over all samples at once, one expansion point per row.
     flip_sign negates the bound coefficients, a self-test knob that must
     make the sampler report a positive violation.
     """
     rng = np.random.default_rng(seed)
     box = scenario.fleet.box
     params = scenario.channel
-    worst = -np.inf
-    for _ in range(n_samples):
-        ue = scenario.ues[rng.integers(scenario.n_ues)]
-        w = np.array([ue.x, ue.y])
-        q_hat = np.array([rng.uniform(box.x_min, box.x_max),
-                          rng.uniform(box.y_min, box.y_max)])
-        h = rng.uniform(box.h_min, box.h_max)
-        ep = placement.ExpansionPoint.at(q_hat, h, w[None, :],
-                                         np.array([ue.tx_power_w]), params)
-        coeffs = placement.psi_coefficients(ep, params)
-        if flip_sign:
-            coeffs = (-coeffs[0], -coeffs[1])
-        q = np.array([rng.uniform(box.x_min, box.x_max),
-                      rng.uniform(box.y_min, box.y_max)])
-        v = rng.uniform(1e-3, 1.0)
-        sq = float(np.sum((q - w) ** 2))
-        lb = placement.r_lb_horizontal(sq, v, ep, coeffs, params)[0]
-        true = float(channel.outage_rate(sq, h, v, ue.tx_power_w, params))
-        worst = max(worst, lb - true)
-        vb = placement.v_lb(sq, ep)[0]
-        true_v = h / np.sqrt(sq + h ** 2)
-        if flip_sign:
-            slope = ep.h_hat / (2.0 * ep.d_sq_hat[0] ** 1.5)
-            vb = ep.v_hat[0] + slope * (sq - ep.horiz_sq_hat[0])
-        worst = max(worst, vb - true_v)
-        h_new = rng.uniform(box.h_min, box.h_max)
-        v2 = rng.uniform(1e-3, 1.0)
-        lbv = placement.r_lb_vertical(h_new, v2, ep, coeffs, params)[0]
-        truev = float(channel.outage_rate(ep.horiz_sq_hat[0], h_new, v2,
-                                          ue.tx_power_w, params))
-        worst = max(worst, lbv - truev)
-    return float(worst)
+    draws = np.array([
+        (rng.integers(scenario.n_ues),
+         rng.uniform(box.x_min, box.x_max), rng.uniform(box.y_min, box.y_max),
+         rng.uniform(box.h_min, box.h_max),
+         rng.uniform(box.x_min, box.x_max), rng.uniform(box.y_min, box.y_max),
+         rng.uniform(1e-3, 1.0),
+         rng.uniform(box.h_min, box.h_max), rng.uniform(1e-3, 1.0))
+        for _ in range(n_samples)])
+    ue = draws[:, 0].astype(int)
+    h, v, h_new, v2 = draws[:, 3], draws[:, 6], draws[:, 7], draws[:, 8]
+    w = scenario.positions[ue]
+    tx = scenario.tx_powers[ue]
+    ep = placement.ExpansionPoint.at(draws[:, 1:3], h, w, tx, params)
+    coeffs = placement.psi_coefficients(ep, params)
+    if flip_sign:
+        coeffs = (-coeffs[0], -coeffs[1])
+    sq = np.sum((draws[:, 4:6] - w) ** 2, axis=-1)
+    lb = placement.r_lb_horizontal(sq, v, ep, coeffs, params)
+    vb = placement.v_lb(sq, ep)
+    if flip_sign:
+        slope = ep.h_hat / (2.0 * ep.d_sq_hat ** 1.5)
+        vb = ep.v_hat + slope * (sq - ep.horiz_sq_hat)
+    lbv = placement.r_lb_vertical(h_new, v2, ep, coeffs, params)
+    # true rates at the horizontal samples (row 0) and vertical ones (row 1)
+    true = channel.outage_rate(np.stack([sq, ep.horiz_sq_hat]),
+                               np.stack([h, h_new]), np.stack([v, v2]), tx,
+                               params)
+    return float(max(np.max(lb - true[0]),
+                     np.max(vb - h / np.sqrt(sq + h ** 2)),
+                     np.max(lbv - true[1])))

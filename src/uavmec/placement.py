@@ -12,13 +12,17 @@ resulting global lower bounds:
 
 In the epigraph form of either step the sine and rate bounds are tight at
 the optimum, so both are eliminated in closed form: what remains is a
-smooth convex function of q in R^2 (or of H in R) over the box, with an
-analytic Hessian, minimized by projected Newton (``solve_convex``). Rates
+smooth convex function of q in R^2 (or of H in R) over the box, minimized
+by projected Newton (``solve_convex``) with one Newton oracle for both
+steps (``_Step.__call__``); each step supplies only its geometry. Rates
 are scaled by the expansion rates internally, so every scaled rate bound
 equals 1 at the expansion point; all public values are in bits/s.
 
-A descent safeguard re-evaluates the true completion time at the
-returned position and rejects any step that would increase it.
+The expansion point carries the model, powers and parameters of its
+rates. A descent safeguard rejects any step that would increase the true
+completion time, evaluated as the expansion point at the returned
+position; the solution hands that point on (``SubproblemSolution.point``,
+the input point after a rejection), so the next step reuses its rates.
 """
 
 from __future__ import annotations
@@ -48,19 +52,25 @@ class ExpansionPoint:
     v_hat: np.ndarray          # (S,)
     r_hat: np.ndarray          # (S,) bits/s
     gamma: np.ndarray          # (S,)
+    tx_powers: np.ndarray      # (S,) watts
+    params: channel.ChannelParams
+    model: str                 # channel model the rates were evaluated under
 
     @classmethod
     def at(cls, q, h, ue_pos, tx_powers, params, model="rician"):
+        """The point (q, h) for UEs at ue_pos. A (K, 2) q with (K,) h and
+        K UEs gives K single-UE points at once, one per row."""
         q = np.asarray(q, dtype=float)
         ue_pos = np.atleast_2d(np.asarray(ue_pos, dtype=float))
-        horiz_sq = np.sum((q[None, :] - ue_pos) ** 2, axis=-1)
+        tx_powers = np.asarray(tx_powers, dtype=float)
+        horiz_sq = np.sum((q - ue_pos) ** 2, axis=-1)
         d_sq = horiz_sq + h ** 2
         v = h / np.sqrt(d_sq)
         r = channel.rate(horiz_sq, h, tx_powers, params, model)
-        return cls(q_hat=q, h_hat=float(h), ue_pos=ue_pos,
+        return cls(q_hat=q, h_hat=np.float64(h), ue_pos=ue_pos,
                    horiz_sq_hat=horiz_sq, d_sq_hat=d_sq, v_hat=v, r_hat=r,
-                   gamma=np.asarray(params.gamma(tx_powers), dtype=float)
-                   * np.ones_like(v))
+                   gamma=params.gamma(tx_powers) * np.ones_like(v),
+                   tx_powers=tx_powers, params=params, model=model)
 
 
 @dataclass(frozen=True)
@@ -71,6 +81,7 @@ class SubproblemSolution:
     mu: float
     status: Status
     accepted: bool             # False if the descent safeguard kept the old point
+    point: ExpansionPoint      # expansion point at the returned position
 
 
 def _exp_term(v, params):
@@ -152,12 +163,14 @@ def true_uav_time(q, h, ue_pos, data_bits, cycles, tx_powers, cpu_hz, params,
 # reduced subproblems
 # ---------------------------------------------------------------------------
 
+NEWTON_TOL = 1e-8      # Newton decrement relative to the step's value
+_MAX_NEWTON = 4000
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 _OUTSIDE = (np.inf, None, None)
 
 
-def solve_convex(fun, x0, lo, hi, tol=1e-8, max_newton=4000) -> SolveStatus:
+def solve_convex(fun, x0, lo, hi) -> SolveStatus:
     """Minimize a smooth convex function over the box [lo, hi] from x0.
 
     fun(x) returns (value, gradient, Hessian), or a value of +inf outside
@@ -168,14 +181,14 @@ def solve_convex(fun, x0, lo, hi, tol=1e-8, max_newton=4000) -> SolveStatus:
     on a bound, the gradient scaled by the Hessian diagonal is taken
     instead, so the projected path always descends. Armijo backtracking
     along the projected path; the run stops after the step whose Newton
-    decrement -g.d / 2 was at most tol times the value, or at a
+    decrement -g.d / 2 was at most NEWTON_TOL times the value, or at a
     stationary point.
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     f, g, hess = fun(x)
     if not np.isfinite(f):
         return SolveStatus(Status.INFEASIBLE)
-    for step in range(max_newton):
+    for step in range(_MAX_NEWTON):
         at_lo, at_hi = x <= lo, x >= hi
         free = ~((at_lo & (g > 0)) | (at_hi & (g < 0)) | (at_lo & at_hi))
         d = np.zeros_like(x)
@@ -199,129 +212,124 @@ def solve_convex(fun, x0, lo, hi, tol=1e-8, max_newton=4000) -> SolveStatus:
             alpha *= 0.5
         else:
             # no decrease left to find in floating point
-            status = (Status.OPTIMAL if gap <= tol * abs(f)
+            status = (Status.OPTIMAL if gap <= NEWTON_TOL * abs(f)
                       else Status.NUMERICAL_FAILURE)
             return SolveStatus(status, objective=f, x=x, kkt_residual=gap,
                                iterations=step + 1)
         x, f, g, hess = x_new, f_new, g_new, h_new
-        if gap <= tol * abs(f):
+        if gap <= NEWTON_TOL * abs(f):
             return SolveStatus(Status.OPTIMAL, objective=f, x=x,
                                kkt_residual=gap, iterations=step + 1)
     return SolveStatus(Status.ITER_LIMIT, objective=f, x=x,
-                       iterations=max_newton)
+                       iterations=_MAX_NEWTON)
 
 
 class _Step:
-    """One SCA step reduced to its placement coordinates x.
+    """One SCA step reduced to its placement coordinates x: minimize
+    f(x) = sum_i a_i / z_i + c_fix, with the scaled rate bound
+    z_i = 1 + ce_i (E(v_hat_i) - E(v_i)) - cq_i ds_i, E(v) = exp(-(k3 + k4 v)).
 
-    Subclasses set the expansion coordinates ``x_hat`` and the box
-    ``lo``/``hi``, and define ``at(x)`` -> (v, z, ...) giving the sine and
-    scaled rate bounds (or None where a sine bound leaves the domain),
-    ``__call__`` for ``solve_convex``, ``place(x)`` -> (q, h) and
-    ``position(x)``, the public position at x.
+    Subclasses supply the geometry, ``geometry(x)`` -> (ds, v, grad ds,
+    grad v, d2s, d2v) with (S, n) gradients and the Hessians of ds_i and v_i
+    as per-UE multiples d2s, d2v of the identity, and set ``x_hat``,
+    ``lo``/``hi``, ``place(x)`` -> (q, h) and ``position(x)``.
     """
 
-    def __init__(self, exp_point, ue_data, params, model):
-        data_bits, cycles, _, cpu_hz = ue_data
-        r_hat = exp_point.r_hat
-        if model == "rician":
-            coef_exp, coef_quad = taylor_coefficients(
-                exp_point.v_hat, exp_point.d_sq_hat, exp_point.gamma, params)
+    def __init__(self, exp_point, ue_data):
+        data_bits, cycles, cpu_hz = ue_data
+        ep = exp_point
+        # the one place the model is decided; under LoS the rate bound
+        # ignores the sine, so the horizontal step keeps it fixed
+        if ep.model == "rician":
+            coef_exp, coef_quad = psi_coefficients(ep, ep.params)
+            self.sigma = ep.h_hat / (2.0 * ep.d_sq_hat ** 1.5)
+        elif ep.model == "los":
+            coef_exp = np.zeros_like(ep.r_hat)
+            coef_quad = los_coefficient(ep.d_sq_hat, ep.gamma, ep.params)
+            self.sigma = np.zeros_like(ep.r_hat)
         else:
-            coef_exp = np.zeros_like(r_hat)
-            coef_quad = los_coefficient(exp_point.d_sq_hat, exp_point.gamma,
-                                        params)
-        self.ep = exp_point
-        self.ue_data = ue_data
-        self.params = params
-        self.model = model
-        self.a = data_bits / r_hat
-        self.c_fix = float(np.sum(cycles / cpu_hz))
-        self.ce = coef_exp / r_hat
-        self.cq = coef_quad / r_hat
-        self.e_hat = _exp_term(exp_point.v_hat, params)
-        self.z_min = Z_FLOOR / r_hat
+            raise ValueError(f"unknown channel model '{ep.model}'")
+        self.ep = ep
+        self.k4 = ep.params.k4
+        self.data_bits = data_bits
+        self.c_ue = cycles / cpu_hz
+        self.a = data_bits / ep.r_hat
+        self.c_fix = float(np.sum(self.c_ue))
+        self.ce = coef_exp / ep.r_hat
+        self.cq = coef_quad / ep.r_hat
+        self.e_hat = _exp_term(ep.v_hat, ep.params)
+        self.z_min = Z_FLOOR / ep.r_hat
 
-    def _value(self, terms):
-        """Objective sum a/z + c_fix and the weights a/z^2, or None outside
-        the domain."""
-        if terms is None:
-            return None
-        z = terms[1]
+    def _rate_bound(self, ds, v):
+        e = _exp_term(v, self.ep.params)
+        return e, 1.0 + self.ce * (self.e_hat - e) - self.cq * ds
+
+    def __call__(self, x):
+        """(f, grad f, Hess f) at x, or +inf outside the domain. By the
+        chain rule, grad z = ce k4 E grad v - cq grad ds and
+        Hess z = ce k4 E (Hess v - k4 grad v grad v^T) - cq Hess ds."""
+        ds, v, g_ds, g_v, d2s, d2v = self.geometry(x)
+        if np.any(v < V_FLOOR):
+            return _OUTSIDE
+        e, z = self._rate_bound(ds, v)
         if np.any(z < self.z_min):
-            return None
+            return _OUTSIDE
         f = float(np.sum(self.a / z)) + self.c_fix
         if not f <= MU_CAP:
-            return None
-        return f, self.a / z ** 2
+            return _OUTSIDE
+        w = self.a / z ** 2
+        p = self.ce * self.k4 * e
+        g_z = p[:, None] * g_v - self.cq[:, None] * g_ds
+        hess = ((g_z.T * (2.0 * w / z)) @ g_z
+                + (g_v.T * (self.k4 * w * p)) @ g_v
+                + float(np.sum(w * (self.cq * d2s - p * d2v)))
+                * np.eye(x.size))
+        return f, -(w @ g_z), hess
 
-    def true_time(self, x):
-        data_bits, cycles, tx_powers, cpu_hz = self.ue_data
-        q, h = self.place(x)
-        return true_uav_time(q, h, self.ep.ue_pos, data_bits, cycles,
-                             tx_powers, cpu_hz, self.params, self.model)
+    def time(self, point):
+        """Exact completion time at an expansion point of these UEs."""
+        return float(np.sum(self.data_bits / point.r_hat + self.c_ue))
 
-    def solve(self, tol, max_newton):
+    def solve(self):
         """Minimize from the expansion point, then apply the descent
         safeguard."""
-        t_old = self.true_time(self.x_hat)
-        res = solve_convex(self, self.x_hat, self.lo, self.hi, tol=tol,
-                           max_newton=max_newton)
-        if (res.x is None
-                or res.status in (Status.INFEASIBLE, Status.NUMERICAL_FAILURE)
-                or self.true_time(res.x) > t_old + 1e-9):
-            return SubproblemSolution(position=self.position(self.x_hat),
-                                      v=self.ep.v_hat.copy(),
-                                      z=self.ep.r_hat.copy(), mu=t_old,
-                                      status=res.status, accepted=False)
-        v, z = self.at(res.x)[:2]
-        return SubproblemSolution(position=self.position(res.x), v=v,
-                                  z=z * self.ep.r_hat, mu=res.objective,
-                                  status=res.status, accepted=True)
+        ep = self.ep
+        t_old = self.time(ep)
+        res = solve_convex(self, self.x_hat, self.lo, self.hi)
+        if res.x is not None and res.status not in (Status.INFEASIBLE,
+                                                    Status.NUMERICAL_FAILURE):
+            q, h = self.place(res.x)
+            point = ExpansionPoint.at(q, h, ep.ue_pos, ep.tx_powers,
+                                      ep.params, ep.model)
+            if self.time(point) <= t_old + 1e-9:
+                ds, v = self.geometry(res.x)[:2]
+                z = self._rate_bound(ds, v)[1]
+                return SubproblemSolution(
+                    position=self.position(res.x), v=v, z=z * ep.r_hat,
+                    mu=res.objective, status=res.status, accepted=True,
+                    point=point)
+        return SubproblemSolution(position=self.position(self.x_hat),
+                                  v=ep.v_hat.copy(), z=ep.r_hat.copy(),
+                                  mu=t_old, status=res.status, accepted=False,
+                                  point=ep)
 
 
 class _Horizontal(_Step):
-    """q alone: v_i = v_lb_i(q), z_i = r_lb_i(q, v_i) / r_hat_i.
+    """q alone, v_i = v_lb_i(q): with u_i = q - w_i, ds_i = |u_i|^2 - s_hat_i
+    has gradient 2 u_i and Hessian 2 I, v_i = v_hat_i - sigma_i ds_i."""
 
-    With u_i = q - w_i, z_i has gradient -2 p_i u_i and Hessian
-    -4 rho_i u_i u_i^T - 2 p_i I, where p = ce k4 sigma E + cq and
-    rho = ce k4^2 sigma^2 E, so the objective's Hessian
-    sum (2a/z^3) grad z grad z^T - (a/z^2) Hess z is positive definite.
-    Under the LoS model ce = 0 and the sine plays no part (sigma = 0).
-    """
-
-    def __init__(self, exp_point, ue_data, box, params, model):
-        super().__init__(exp_point, ue_data, params, model)
-        self.sigma = (exp_point.h_hat / (2.0 * exp_point.d_sq_hat ** 1.5)
-                      if model == "rician" else 0.0)
+    def __init__(self, exp_point, ue_data, box):
+        super().__init__(exp_point, ue_data)
         self.x_hat = exp_point.q_hat
         self.lo = np.array([box.x_min, box.y_min])
         self.hi = np.array([box.x_max, box.y_max])
 
-    def at(self, q):
+    def geometry(self, q):
         ep = self.ep
         u = q - ep.ue_pos
         ds = np.einsum("ij,ij->i", u, u) - ep.horiz_sq_hat
-        v = ep.v_hat - self.sigma * ds
-        if np.any(v < V_FLOOR):
-            return None
-        e = _exp_term(v, self.params)
-        return v, 1.0 + self.ce * (self.e_hat - e) - self.cq * ds, u, e
-
-    def __call__(self, q):
-        terms = self.at(q)
-        value = self._value(terms)
-        if value is None:
-            return _OUTSIDE
-        f, w = value
-        _, z, u, e = terms
-        k4s = self.params.k4 * self.sigma
-        p = self.ce * k4s * e + self.cq
-        rho = self.ce * k4s ** 2 * e
-        grad = 2.0 * (w * p) @ u
-        hess = ((u.T * (8.0 * w * p ** 2 / z + 4.0 * w * rho)) @ u
-                + 2.0 * float(np.sum(w * p)) * np.eye(2))
-        return f, grad, hess
+        return (ds, ep.v_hat - self.sigma * ds, 2.0 * u,
+                (-2.0 * self.sigma)[:, None] * u, 2.0, -2.0 * self.sigma)
 
     def place(self, q):
         return q, self.ep.h_hat
@@ -331,44 +339,22 @@ class _Horizontal(_Step):
 
 
 class _Vertical(_Step):
-    """H alone: v_i = H / sqrt(s_i + H^2) exactly, z_i = r_lb_i(H, v_i) /
-    r_hat_i, concave in H, so the objective's second derivative is > 0."""
+    """H alone, with the exact sine v_i = H / d_i, d_i^2 = s_i + H^2:
+    ds_i = H^2 - H_hat^2, v_i' = s_i / d_i^3 and v_i'' = -3 s_i H / d_i^5."""
 
-    def __init__(self, exp_point, ue_data, box, params, model):
-        super().__init__(exp_point, ue_data, params, model)
+    def __init__(self, exp_point, ue_data, box):
+        super().__init__(exp_point, ue_data)
         self.x_hat = np.array([exp_point.h_hat])
         self.lo = np.array([box.h_min])
         self.hi = np.array([box.h_max])
 
-    def at(self, x):
-        ep = self.ep
-        h = x[0]
-        d_sq = ep.horiz_sq_hat + h * h
-        v = h / np.sqrt(d_sq)
-        if np.any(v < V_FLOOR):
-            return None
-        e = _exp_term(v, self.params)
-        z = (1.0 + self.ce * (self.e_hat - e)
-             - self.cq * (h * h - ep.h_hat ** 2))
-        return v, z, d_sq, e
-
-    def __call__(self, x):
-        terms = self.at(x)
-        value = self._value(terms)
-        if value is None:
-            return _OUTSIDE
-        f, w = value
-        _, z, d_sq, e = terms
+    def geometry(self, x):
         h = x[0]
         s = self.ep.horiz_sq_hat
-        k4 = self.params.k4
-        dv = s / d_sq ** 1.5
-        d2v = -3.0 * s * h / d_sq ** 2.5
-        dz = self.ce * k4 * e * dv - 2.0 * self.cq * h
-        d2z = self.ce * k4 * e * (d2v - k4 * dv ** 2) - 2.0 * self.cq
-        grad = -float(np.sum(w * dz))
-        curv = float(np.sum(w * (2.0 * dz ** 2 / z - d2z)))
-        return f, np.array([grad]), np.array([[curv]])
+        d_sq = s + h * h
+        ds = np.full_like(s, h * h - self.ep.h_hat ** 2)
+        return (ds, h / np.sqrt(d_sq), np.full((s.size, 1), 2.0 * h),
+                (s / d_sq ** 1.5)[:, None], 2.0, -3.0 * s * h / d_sq ** 2.5)
 
     def place(self, x):
         return self.ep.q_hat, x[0]
@@ -377,18 +363,14 @@ class _Vertical(_Step):
         return np.float64(x[0])
 
 
-def solve_horizontal(exp_point: ExpansionPoint, ue_data, box, params,
-                     tol=1e-8, max_newton=4000, model="rician"):
+def solve_horizontal(exp_point: ExpansionPoint, ue_data, box):
     """One SCA step on a UAV's horizontal position at fixed altitude.
 
-    ue_data is (data_bits, cycles, tx_powers, cpu_hz) for the served UEs.
+    ue_data is (data_bits, cycles, cpu_hz) for the UEs of exp_point.
     """
-    return _Horizontal(exp_point, ue_data, box, params,
-                       model).solve(tol, max_newton)
+    return _Horizontal(exp_point, ue_data, box).solve()
 
 
-def solve_vertical(exp_point: ExpansionPoint, ue_data, box, params,
-                   tol=1e-8, max_newton=4000, model="rician"):
+def solve_vertical(exp_point: ExpansionPoint, ue_data, box):
     """One SCA step on a UAV's altitude at fixed horizontal position."""
-    return _Vertical(exp_point, ue_data, box, params,
-                     model).solve(tol, max_newton)
+    return _Vertical(exp_point, ue_data, box).solve()

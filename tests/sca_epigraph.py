@@ -198,7 +198,7 @@ class _VertRateBlock(ConstraintBlock):
 
 
 def _scaled(exp_point, ue_data, params, use_v):
-    data_bits, cycles, _, cpu_hz = ue_data
+    data_bits, cycles, cpu_hz = ue_data
     s = len(exp_point.r_hat)
     if use_v:
         coef_exp, coef_quad = placement.taylor_coefficients(

@@ -66,6 +66,26 @@ class TestSolve:
         clbo = json.loads((out / "report_clbo.json").read_text())
         assert "mu_los" in clbo["extras"] and "mu_eval" in clbo["extras"]
 
+    def test_outputs_byte_reproducible(self, scenario_file, tmp_path):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert cli.main(["solve", "--scenario", str(scenario_file),
+                             "--method", "all", "--restarts", "1",
+                             "--out", str(out)]) == 0
+        for method in ("proposed", "hpo", "vpo", "clbo"):
+            for name in (f"report_{method}.json", f"deployment_{method}.csv",
+                         f"association_{method}.csv"):
+                assert (outs[0] / name).read_bytes() == \
+                    (outs[1] / name).read_bytes(), name
+        # wall times go to timings.csv, one row per method
+        lines = (outs[0] / "timings.csv").read_text().splitlines()
+        assert lines[0] == \
+            (outs[0] / "deployment_hpo.csv").read_text().splitlines()[0]
+        assert lines[1] == "method,wall_ms"
+        assert [line.split(",")[0] for line in lines[2:]] == \
+            ["proposed", "hpo", "vpo", "clbo"]
+        assert all(float(line.split(",")[1]) >= 0 for line in lines[2:])
+
     def test_missing_scenario_is_error(self, tmp_path, capsys):
         code = cli.main(["solve", "--scenario", str(tmp_path / "nope.json")])
         assert code == 1
@@ -149,6 +169,15 @@ class TestSweep:
             (out2 / "results.csv").read_bytes()
         assert (out1 / "aggregate.csv").read_bytes() == \
             (out2 / "aggregate.csv").read_bytes()
+
+    def test_two_workers_match_one(self, tmp_path):
+        spec = dict(self.SPEC, methods=["proposed", "vpo"])
+        outs = [tmp_path / "j1", tmp_path / "j2"]
+        for out, jobs in zip(outs, (1, 2)):
+            cli.run_sweep(spec, out, jobs=jobs)
+        for name in ("results.csv", "aggregate.csv"):
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes(), name
 
     def test_mu_parseable_at_full_precision(self, tmp_path):
         out = self._run(tmp_path, "s1")

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from uavmec import channel, oracle
+from uavmec import association, channel, oracle
 from uavmec.optimizer import (Deployment, OptimizerConfig, completion_time,
                               kmeans, solve, solve_clbo, solve_hpo,
                               solve_proposed, solve_vpo)
@@ -183,6 +183,27 @@ class TestProposed:
             np.testing.assert_allclose(v, h / np.sqrt(sq + h * h),
                                        rtol=0.0, atol=1e-12)
             np.testing.assert_allclose(z, r_true, rtol=1e-5, atol=0.0)
+
+
+class TestEvaluateOnce:
+    @pytest.mark.parametrize("method, extra", [("proposed", 1), ("hpo", 1),
+                                               ("vpo", 0)])
+    def test_one_service_time_matrix_per_deployment(self, method, extra,
+                                                    monkeypatch):
+        # one matrix per deployment: the start (to associate) and the end
+        # of each iteration (its mu, and the next association)
+        calls = []
+        inner = association.service_time_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(association, "service_time_matrix", counting)
+        sc = generate(2, 12, FleetConfig(num_uavs=3))
+        rep = quiet_solve(sc, method, OptimizerConfig(restarts=1, seed=2))
+        assert rep.iterations >= 2
+        assert len(calls) == rep.iterations + extra
 
 
 class TestBaselines:

@@ -1,13 +1,15 @@
 """SCA subproblems: bound coefficients, global lower bounds, and the
 horizontal/vertical solves against brute-force references."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import sca_epigraph
 from uavmec import channel, oracle, placement
 from uavmec.channel import ChannelParams
-from uavmec.lp import Status
+from uavmec.lp import SolveStatus, Status
 from uavmec.placement import ExpansionPoint
 from uavmec.scenario import Box, FleetConfig, generate
 
@@ -20,9 +22,14 @@ def make_ep(q_hat, h_hat, ue_pos, params, model="rician"):
 
 
 def ue_data_for(ep, data_bits=1e6, cycles_per_bit=300.0, cpu_hz=2e9):
-    s = len(ep.r_hat)
-    bits = np.full(s, data_bits)
-    return (bits, cycles_per_bit * bits, np.full(s, 0.1), cpu_hz)
+    bits = np.full(len(ep.r_hat), data_bits)
+    return (bits, cycles_per_bit * bits, cpu_hz)
+
+
+def true_time(ep, data, q, h):
+    """Exact completion time of ep's UEs with the UAV at (q, h)."""
+    return placement.true_uav_time(q, h, ep.ue_pos, data[0], data[1],
+                                   ep.tx_powers, data[2], ep.params, ep.model)
 
 
 class TestCoefficients:
@@ -137,16 +144,16 @@ class TestUnknownModel:
 
     def test_horizontal_step_rejects(self, params):
         ep = make_ep([90.0, 90.0], 60.0, [[20.0, 20.0]], params)
+        bad = dataclasses.replace(ep, model="Rician")
         with pytest.raises(ValueError, match="unknown channel model"):
-            placement.solve_horizontal(ep, ue_data_for(ep), Box(), params,
-                                       model="Rician")
+            placement.solve_horizontal(bad, ue_data_for(ep), Box())
 
 
 class TestHorizontalStep:
     def test_moves_toward_single_ue(self, params):
         box = Box()
         ep = make_ep([90.0, 90.0], 60.0, [[20.0, 20.0]], params)
-        sol = placement.solve_horizontal(ep, ue_data_for(ep), box, params)
+        sol = placement.solve_horizontal(ep, ue_data_for(ep), box)
         assert sol.accepted
         d_old = np.linalg.norm(ep.q_hat - [20.0, 20.0])
         d_new = np.linalg.norm(sol.position - [20.0, 20.0])
@@ -157,7 +164,7 @@ class TestHorizontalStep:
         q = np.array([90.0, 90.0])
         for _ in range(40):
             ep = make_ep(q, 60.0, [[20.0, 20.0]], params)
-            sol = placement.solve_horizontal(ep, ue_data_for(ep), box, params)
+            sol = placement.solve_horizontal(ep, ue_data_for(ep), box)
             q = np.asarray(sol.position)
         assert q == pytest.approx([20.0, 20.0], abs=0.5)
 
@@ -167,7 +174,7 @@ class TestHorizontalStep:
         pos = [[20.0, 50.0], [80.0, 50.0]]
         for _ in range(40):
             ep = make_ep(q, 60.0, pos, params)
-            sol = placement.solve_horizontal(ep, ue_data_for(ep), box, params)
+            sol = placement.solve_horizontal(ep, ue_data_for(ep), box)
             q = np.asarray(sol.position)
         assert q[0] == pytest.approx(50.0, abs=0.5)
 
@@ -179,23 +186,18 @@ class TestHorizontalStep:
             pos = rng.uniform(0, 100, size=(3, 2))
             ep = make_ep(q_hat, h, pos, params)
             data = ue_data_for(ep)
-            sol = placement.solve_horizontal(ep, data, box, params)
-            t_old = placement.true_uav_time(q_hat, h, pos, *data[:3],
-                                            data[3], params)
-            t_new = placement.true_uav_time(np.asarray(sol.position), h, pos,
-                                            *data[:3], data[3], params)
+            sol = placement.solve_horizontal(ep, data, box)
+            t_old = true_time(ep, data, q_hat, h)
+            t_new = true_time(ep, data, sol.position, h)
             assert t_new <= t_old + 1e-9
 
     def test_los_variant_improves(self, params):
         box = Box()
         ep = make_ep([90.0, 90.0], 60.0, [[20.0, 20.0]], params, model="los")
         data = ue_data_for(ep)
-        sol = placement.solve_horizontal(ep, data, box, params, model="los")
-        t_old = placement.true_uav_time(ep.q_hat, 60.0, ep.ue_pos, *data[:3],
-                                        data[3], params, model="los")
-        t_new = placement.true_uav_time(np.asarray(sol.position), 60.0,
-                                        ep.ue_pos, *data[:3], data[3], params,
-                                        model="los")
+        sol = placement.solve_horizontal(ep, data, box)
+        t_old = true_time(ep, data, ep.q_hat, 60.0)
+        t_new = true_time(ep, data, sol.position, 60.0)
         assert t_new <= t_old + 1e-9
 
 
@@ -205,7 +207,7 @@ class TestVerticalStep:
         h = 70.0
         for _ in range(30):
             ep = make_ep([50.0, 50.0], h, [[50.0, 50.0]], params)
-            sol = placement.solve_vertical(ep, ue_data_for(ep), box, params)
+            sol = placement.solve_vertical(ep, ue_data_for(ep), box)
             h = float(sol.position)
         assert h == pytest.approx(box.h_min, abs=0.05)
 
@@ -218,12 +220,10 @@ class TestVerticalStep:
         for _ in range(60):
             ep = make_ep([50.0, 50.0], h, pos, params)
             data = ue_data_for(ep)
-            sol = placement.solve_vertical(ep, data, box, params)
+            sol = placement.solve_vertical(ep, data, box)
             h = float(sol.position)
         hs = np.arange(box.h_min, box.h_max + 1e-9, 0.01)
-        times = [placement.true_uav_time(np.array([50.0, 50.0]), hh, pos,
-                                         *data[:3], data[3], params)
-                 for hh in hs]
+        times = [true_time(ep, data, np.array([50.0, 50.0]), hh) for hh in hs]
         h_grid = hs[int(np.argmin(times))]
         assert abs(h - h_grid) <= 0.05
 
@@ -235,11 +235,9 @@ class TestVerticalStep:
             pos = rng.uniform(0, 100, size=(3, 2))
             ep = make_ep(q_hat, h, pos, params)
             data = ue_data_for(ep)
-            sol = placement.solve_vertical(ep, data, box, params)
-            t_old = placement.true_uav_time(q_hat, h, pos, *data[:3],
-                                            data[3], params)
-            t_new = placement.true_uav_time(q_hat, float(sol.position), pos,
-                                            *data[:3], data[3], params)
+            sol = placement.solve_vertical(ep, data, box)
+            t_old = true_time(ep, data, q_hat, h)
+            t_new = true_time(ep, data, q_hat, sol.position)
             assert t_new <= t_old + 1e-9
 
     def test_altitude_stays_in_box(self, params, rng):
@@ -247,7 +245,7 @@ class TestVerticalStep:
         for _ in range(10):
             ep = make_ep(rng.uniform(0, 100, size=2), rng.uniform(40, 80),
                          rng.uniform(0, 100, size=(2, 2)), params)
-            sol = placement.solve_vertical(ep, ue_data_for(ep), box, params)
+            sol = placement.solve_vertical(ep, ue_data_for(ep), box)
             assert box.h_min - 1e-9 <= float(sol.position) <= box.h_max + 1e-9
 
 
@@ -262,6 +260,76 @@ def _captured_solve(monkeypatch):
 
     monkeypatch.setattr(placement, "solve_convex", recording)
     return calls
+
+
+class TestNewtonOracle:
+    """The shared Newton oracle's gradient and Hessian against central
+    differences of its own value and gradient."""
+
+    @pytest.mark.parametrize("model", ["rician", "los"])
+    @pytest.mark.parametrize("step_cls", [placement._Horizontal,
+                                          placement._Vertical])
+    def test_derivatives_match_finite_differences(self, params, model,
+                                                  step_cls):
+        rng = np.random.default_rng(7)
+        box = Box()
+        for _ in range(20):
+            s = int(rng.integers(1, 6))
+            ep = make_ep(rng.uniform(20, 80, size=2), rng.uniform(45, 75),
+                         rng.uniform(0, 100, size=(s, 2)), params, model)
+            step = step_cls(ep, ue_data_for(ep), box)
+            x = step.x_hat + rng.uniform(-3.0, 3.0, size=step.x_hat.size)
+            f, grad, hess = step(x)
+            assert np.isfinite(f)
+            assert oracle.finite_diff_check(lambda y: step(y)[0],
+                                            lambda y: step(y)[1], x,
+                                            step=1e-6) <= 1e-6
+            for k in range(x.size):
+                assert oracle.finite_diff_check(
+                    lambda y: step(y)[1][k], lambda y: step(y)[2][k], x,
+                    step=1e-6) <= 1e-6
+            np.testing.assert_allclose(hess, hess.T, rtol=1e-12)
+            assert np.all(np.linalg.eigvalsh(hess) > 0)
+
+
+class TestPointHandOff:
+    """SubproblemSolution.point is the expansion point at the returned
+    position, so the next step can expand there without new rates."""
+
+    @pytest.mark.parametrize("model", ["rician", "los"])
+    def test_accepted_step_returns_point_at_position(self, params, model):
+        box = Box()
+        ep = make_ep([90.0, 90.0], 60.0, [[20.0, 20.0], [40.0, 70.0]],
+                     params, model)
+        data = ue_data_for(ep)
+        hor = placement.solve_horizontal(ep, data, box)
+        ver = placement.solve_vertical(hor.point, data, box)
+        assert hor.accepted and ver.accepted
+        for sol, (q, h) in ((hor, (hor.position, 60.0)),
+                            (ver, (hor.position, ver.position))):
+            want = ExpansionPoint.at(q, h, ep.ue_pos, ep.tx_powers, params,
+                                     model)
+            got = sol.point
+            assert got.model == model and got.params is params
+            for name in ("q_hat", "h_hat", "horiz_sq_hat", "d_sq_hat",
+                         "v_hat", "r_hat", "gamma", "tx_powers"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(want, name)), name
+
+    @pytest.mark.parametrize("status", [Status.OPTIMAL,
+                                        Status.NUMERICAL_FAILURE])
+    def test_rejected_step_returns_input_point(self, params, status,
+                                               monkeypatch):
+        # an "optimum" in the far corner makes the UE's time worse
+        box = Box()
+        ep = make_ep([20.0, 20.0], 60.0, [[20.0, 20.0]], params)
+        monkeypatch.setattr(placement, "solve_convex", lambda *a, **k: (
+            SolveStatus(status, objective=0.0,
+                        x=np.array([box.x_max, box.y_max]))))
+        sol = placement.solve_horizontal(ep, ue_data_for(ep), box)
+        assert not sol.accepted
+        assert sol.point is ep
+        assert np.array_equal(sol.position, ep.q_hat)
 
 
 class TestAgainstBarrierReference:
@@ -279,13 +347,13 @@ class TestAgainstBarrierReference:
             q_hat = rng.uniform(0, 100, size=2)
             h_hat = float(rng.uniform(40, 80))
             bits = 10 ** rng.uniform(3, 9, size=s)
-            data = (bits, 300.0 * bits, np.full(s, 0.1), 2e9)
+            data = (bits, 300.0 * bits, 2e9)
             ep = make_ep(q_hat, h_hat, pos, params, model=model)
             for ours, ref in ((placement.solve_horizontal,
                                sca_epigraph.horizontal),
                               (placement.solve_vertical,
                                sca_epigraph.vertical)):
-                ours(ep, data, box, params, model=model)
+                ours(ep, data, box)
                 got = calls[-1]
                 want, want_pos = ref(ep, data, box, params, model=model)
                 assert got.status is Status.OPTIMAL
@@ -296,10 +364,10 @@ class TestAgainstBarrierReference:
 
 
 class TestDegenerateSteps:
-    def _check(self, ep, box, params, model):
+    def _check(self, ep, box):
         data = ue_data_for(ep)
         for step in (placement.solve_horizontal, placement.solve_vertical):
-            sol = step(ep, data, box, params, model=model)
+            sol = step(ep, data, box)
             assert sol.accepted or sol.status in (Status.INFEASIBLE,
                                                   Status.NUMERICAL_FAILURE)
             assert np.all(np.isfinite(sol.position)) and np.isfinite(sol.mu)
@@ -322,12 +390,11 @@ class TestDegenerateSteps:
             q_hat = [box.x_max, box.y_min]
         elif case in ("h_min", "h_max"):
             h_hat = getattr(box, case)
-        self._check(make_ep(q_hat, h_hat, pos, params, model=model), box,
-                    params, model)
+        self._check(make_ep(q_hat, h_hat, pos, params, model=model), box)
 
     def test_ue_below_is_stationary(self, params):
         box = Box()
         ep = make_ep([40.0, 40.0], 60.0, [[40.0, 40.0]], params)
-        sol = placement.solve_horizontal(ep, ue_data_for(ep), box, params)
+        sol = placement.solve_horizontal(ep, ue_data_for(ep), box)
         assert sol.accepted
         assert sol.position == pytest.approx([40.0, 40.0], abs=1e-12)
