@@ -6,7 +6,9 @@ Pivoting is Dantzig's rule with lowest-index tie-breaks, switching
 permanently to Bland's rule after a run of degenerate pivots, so the
 method is deterministic and cannot cycle. An optimal return carries the
 dual point recovered from the final basis; the reported kkt_residual is
-the primal-dual objective gap.
+the primal-dual objective gap. A caller that knows a feasible basis can
+start phase 2 from it (``solve_lp(lp, basis=...)``, built by
+``basis_tableau``), skipping phase 1.
 """
 
 from __future__ import annotations
@@ -65,10 +67,10 @@ class LinearProgram:
 class _Tableau:
     """Equality-form tableau  A y = b, b >= 0, with an explicit basis."""
 
-    def __init__(self, a, b):
+    def __init__(self, a, b, basis):
         self.a = a
         self.b = b
-        self.basis = None
+        self.basis = basis
         self.degenerate_run = 0
         self.use_bland = False
         self.iterations = 0
@@ -128,8 +130,42 @@ class _Tableau:
         np.maximum(b, 0.0, out=b)
 
 
-def solve_lp(lp: LinearProgram) -> SolveStatus:
+def basis_tableau(a, b, basis):
+    """The tableau of ``a y = b`` at a starting basis, or None.
+
+    ``basis`` holds one column index per row. None means the basis cannot
+    start phase 2: it has the wrong size or an index out of range, its
+    columns are singular to working precision (infinity-norm condition
+    number above 1e12), or its basic solution B^-1 b has a negative entry.
+    """
+    m = a.shape[0]
+    basis = np.asarray(basis, dtype=int)
+    if (m == 0 or basis.shape != (m,) or basis.min() < 0
+            or basis.max() >= a.shape[1]):
+        return None
+    bmat = a[:, basis]
+    try:
+        binv = np.linalg.inv(bmat)
+    except np.linalg.LinAlgError:
+        return None
+    cond = np.abs(bmat).sum(axis=1).max() * np.abs(binv).sum(axis=1).max()
+    if not cond <= 1e12:
+        return None
+    xb = binv @ b
+    if np.any(xb < -1e-9 * max(1.0, np.abs(xb).max())):
+        return None
+    ta = binv @ a
+    ta[:, basis] = np.eye(m)
+    return _Tableau(ta, np.maximum(xb, 0.0), basis.copy())
+
+
+def solve_lp(lp: LinearProgram, basis=None) -> SolveStatus:
     """Minimize ``lp`` over x >= 0 with the two-phase simplex.
+
+    ``basis`` optionally names a starting basis: one index per row (a_ub
+    rows first) into the columns [x | slacks of the a_ub rows]. If
+    ``basis_tableau`` accepts it, phase 2 pivots from there; otherwise the
+    two-phase method runs from scratch, as without it.
 
     Both phases together take at most 200 pivots per row and column of
     the tableau; an optimum whose primal-dual gap exceeds 1e-7 (relative
@@ -150,48 +186,54 @@ def solve_lp(lp: LinearProgram) -> SolveStatus:
     a[neg] *= -1.0
     b[neg] *= -1.0
 
-    # initial basis: slack columns where usable, artificials elsewhere
     n_cols = n + m_ub
-    basis = np.full(m, -1, dtype=int)
-    art_rows = []
-    for i in range(m):
-        if i < m_ub and not neg[i]:
-            basis[i] = n + i
-        else:
-            art_rows.append(i)
-    if art_rows:
-        art = np.zeros((m, len(art_rows)))
-        for k, i in enumerate(art_rows):
-            art[i, k] = 1.0
-            basis[i] = n_cols + k
-        a = np.hstack([a, art])
-    total_cols = a.shape[1]
-
-    a0 = a.copy()
-    b0 = b.copy()
-    tab = _Tableau(a, b)
-    tab.basis = basis
-    max_iter = 200 * (m + total_cols)
-
-    if art_rows:
-        c1 = np.zeros(total_cols)
-        c1[n_cols:] = 1.0
-        st = tab.run(c1, max_iter)
-        if st is Status.ITER_LIMIT:
-            return SolveStatus(Status.ITER_LIMIT, iterations=tab.iterations)
-        phase1_obj = float(c1[tab.basis] @ tab.b)
-        if phase1_obj > 1e-7:
-            return SolveStatus(Status.INFEASIBLE, iterations=tab.iterations)
-        # drive remaining artificials out of the basis where possible
+    tab = None if basis is None else basis_tableau(a, b, basis)
+    if tab is not None:
+        a0, b0 = a, b                  # basis_tableau leaves both as they are
+        max_iter = 200 * (m + n_cols)
+    else:
+        # initial basis: slack columns where usable, artificials elsewhere
+        start = np.full(m, -1, dtype=int)
+        art_rows = []
         for i in range(m):
-            if tab.basis[i] >= n_cols:
-                row = tab.a[i, :n_cols]
-                j = int(np.argmax(np.abs(row)))
-                if abs(row[j]) > 1e-9:
-                    tab._pivot(i, j)
-                    tab.basis[i] = j
-        # freeze artificial columns at zero
-        tab.a[:, n_cols:] = 0.0
+            if i < m_ub and not neg[i]:
+                start[i] = n + i
+            else:
+                art_rows.append(i)
+        if art_rows:
+            art = np.zeros((m, len(art_rows)))
+            for k, i in enumerate(art_rows):
+                art[i, k] = 1.0
+                start[i] = n_cols + k
+            a = np.hstack([a, art])
+
+        a0 = a.copy()
+        b0 = b.copy()
+        tab = _Tableau(a, b, start)
+        max_iter = 200 * (m + a.shape[1])
+
+        if art_rows:
+            c1 = np.zeros(a.shape[1])
+            c1[n_cols:] = 1.0
+            st = tab.run(c1, max_iter)
+            if st is Status.ITER_LIMIT:
+                return SolveStatus(Status.ITER_LIMIT,
+                                   iterations=tab.iterations)
+            phase1_obj = float(c1[tab.basis] @ tab.b)
+            if phase1_obj > 1e-7:
+                return SolveStatus(Status.INFEASIBLE,
+                                   iterations=tab.iterations)
+            # drive remaining artificials out of the basis where possible
+            for i in range(m):
+                if tab.basis[i] >= n_cols:
+                    row = tab.a[i, :n_cols]
+                    j = int(np.argmax(np.abs(row)))
+                    if abs(row[j]) > 1e-9:
+                        tab._pivot(i, j)
+                        tab.basis[i] = j
+            # freeze artificial columns at zero
+            tab.a[:, n_cols:] = 0.0
+    total_cols = a0.shape[1]
 
     c2 = np.zeros(total_cols)
     c2[:n] = c

@@ -116,3 +116,60 @@ def test_matches_reference_solver_with_equalities(seed):
     assert ref.status == 0
     assert res.status is Status.OPTIMAL
     assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+
+
+# min mu  s.t.  2 a1 <= mu, a2 <= mu, a1 + a2 = 1 (test_minmax_split_program);
+# columns: a1, a2, mu, then the slacks of the two <= rows
+MINMAX = dict(c=[0.0, 0.0, 1.0], a_ub=[[2.0, 0.0, -1.0], [0.0, 1.0, -1.0]],
+              b_ub=[0.0, 0.0], a_eq=[[1.0, 1.0, 0.0]], b_eq=[1.0])
+# max x + 2y  s.t.  x + y <= 4, x + 3y <= 6 (test_dual_certificate_reported)
+CERT = dict(c=[-1.0, -2.0], a_ub=[[1.0, 1.0], [1.0, 3.0]], b_ub=[4.0, 6.0])
+
+
+class TestStartingBasis:
+    def test_optimal_basis_needs_no_pivot(self):
+        cold = solve_lp(LinearProgram(**MINMAX))
+        warm = solve_lp(LinearProgram(**MINMAX), basis=[0, 1, 2])
+        assert warm.status is Status.OPTIMAL
+        assert warm.iterations == 0 < cold.iterations
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-15)
+        assert warm.x == pytest.approx(cold.x, abs=1e-15)
+        assert warm.kkt_residual <= 1e-12
+
+    def test_feasible_basis_pivots_to_the_optimum(self):
+        # basis (x, slack 2) is the vertex (4, 0) with objective -4; the
+        # optimum is (3, 1) with objective -5
+        cold = solve_lp(LinearProgram(**CERT))
+        warm = solve_lp(LinearProgram(**CERT), basis=[0, 3])
+        assert warm.status is Status.OPTIMAL
+        assert warm.iterations == 1
+        assert warm.objective == pytest.approx(-5.0, abs=1e-12)
+        assert warm.x == pytest.approx(cold.x, abs=1e-12)
+
+    @pytest.mark.parametrize("program, basis", [
+        (MINMAX, [0, 1]),              # wrong size
+        (MINMAX, [0, 1, 2, 3]),
+        (MINMAX, [2, 3, 4]),           # mu = -(slack 1 + slack 2): singular
+        (MINMAX, [0, 0, 2]),           # a repeated column
+        # max x + y over x + y <= 2, x + (1 + 1e-14) y <= 2 + 1e-14: the
+        # vertex (1, 1) is optimal, but its basis has condition number 4e14
+        (dict(c=[-1.0, -1.0], a_ub=[[1.0, 1.0], [1.0, 1.0 + 1e-14]],
+              b_ub=[2.0, 2.0 + 1e-14]), [0, 1]),
+        (MINMAX, [0, 1, 99]),          # out of range
+        (MINMAX, [3, 4, 0]),           # a1 = 1 leaves both slacks < 0
+        (CERT, [1, 3]),                # y = 4 breaks x + 3y <= 6
+        (dict(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0]), [0]),   # infeasible LP
+        (dict(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0]), [1]),
+        (dict(c=[-1.0]), []),          # unbounded, no rows
+    ])
+    def test_unusable_basis_gives_the_cold_result(self, program, basis):
+        cold = solve_lp(LinearProgram(**program))
+        warm = solve_lp(LinearProgram(**program), basis=basis)
+        assert warm.status is cold.status
+        assert warm.iterations == cold.iterations
+        assert (warm.objective == cold.objective
+                or np.isnan(warm.objective) and np.isnan(cold.objective))
+        if cold.x is None:
+            assert warm.x is None
+        else:
+            assert np.array_equal(warm.x, cold.x)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from association_reference import cold_relaxed
 from uavmec import association, channel, oracle
 from uavmec.optimizer import (Deployment, OptimizerConfig, completion_time,
                               kmeans, solve, solve_clbo, solve_hpo,
@@ -270,3 +271,22 @@ class TestDegenerateInputs:
                                 np.column_stack([np.ones(6), np.zeros(6)]))[0]
         assert vpo.mu < alone
         assert quiet_solve(sc, "proposed", cfg).mu <= vpo.mu + 1e-9
+
+
+class TestPricedAssociation:
+    """The priced starting basis must not change any solve: same mu to
+    the bit and the same association as the LP solved cold."""
+
+    @pytest.mark.parametrize("size", [(40, 3), (80, 10)])
+    @pytest.mark.parametrize("method", ["proposed", "hpo", "clbo"])
+    def test_solves_match_cold_lp(self, size, method, monkeypatch):
+        cfg = [OptimizerConfig(restarts=1, max_outer_iters=2, seed=seed)
+               for seed in range(3)]
+        scenarios = [generate(seed, size[0], FleetConfig(num_uavs=size[1]))
+                     for seed in range(3)]
+        priced = [quiet_solve(sc, method, c) for sc, c in zip(scenarios, cfg)]
+        monkeypatch.setattr(association, "solve_relaxed", cold_relaxed)
+        for sc, c, rep in zip(scenarios, cfg, priced):
+            ref = quiet_solve(sc, method, c)
+            assert rep.mu.hex() == ref.mu.hex()
+            assert np.array_equal(rep.association, ref.association)
