@@ -10,12 +10,13 @@ D_i / r_ij + F_i / f_max. The relaxed assignment problem is the LP
 whose upper bounds a_ij <= 1 are implied by the row-sum equalities.
 Its dual is M-dimensional: max over prices lambda in the simplex of
 sum_i min_j lambda_j t_ij. Dantzig-Wolfe column generation finds the
-optimal prices on an (M+1)-row master LP whatever N is; by complementary
+optimal prices on an (M+1)-row master LP whatever N is, run on the
+revised simplex of ``lp`` with raw columns appended; by complementary
 slackness they name a starting basis (mu plus every UE-UAV pair whose
-priced time ties its row minimum), and one simplex call on the full LP
-starts from it. At a nondegenerate optimum that basis is already optimal,
-so the call costs no pivot and only certifies it; in degenerate cases
-(such as co-located UEs) it pivots on or solves from scratch.
+priced time ties its row minimum), and one ``solve_lp`` call on the full
+LP starts from it. At a nondegenerate optimum that basis is already
+optimal, so the call costs no pivot and only certifies it; in degenerate
+cases (such as co-located UEs) it pivots on or solves from scratch.
 
 Rounding sets the first entry >= 0.5 per row, falling back to the row
 argmax so that every row ends with exactly one 1 even for degenerate
@@ -27,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import channel
-from .lp import LinearProgram, Status, basis_tableau, solve_lp
+from .lp import LinearProgram, Status, basis_start, solve_lp
 
 _DW_GAP = 1e-13          # relative master-minus-bound gap that ends pricing
 _MAX_COLUMNS = 10000     # pricing rounds at most; the simplex certifies anyway
@@ -88,12 +89,15 @@ def dual_prices(times):
     whose columns L_k are the loads of argmin assignments. The master
     value bounds the LP from above; the priced column's Lagrangian value
     lambda . L (= sum_i min_j lambda_j t_ij) bounds it from below. The
-    master stays warm: each new column enters its tableau as B^-1 a.
+    master stays warm: each new column is appended as it is, and the
+    prices are the negated simplex multipliers of its load rows.
     """
     n, m = times.shape
-    # scaled so that the LP value lies in [1/M, 1]: the simplex's
-    # tolerances are absolute
-    times = times / times.min(axis=1).sum()
+    # scaled so that the LP value lies in [1, M]: the simplex's entering
+    # tolerance (1e-10) is absolute, so at smaller values pricing could end
+    # about 1e-9 relative above the optimum, with prices too far off for
+    # the tie tolerance of solve_relaxed
+    times = times * (m / times.min(axis=1).sum())
     prices = np.full(m, 1.0 / m)
     loads = _argmin_loads(times, prices)
     # columns: mu, the M load-row slacks, then one w_k per load vector;
@@ -106,27 +110,24 @@ def dual_prices(times):
     b[m] = 1.0
     top = int(np.argmax(loads))
     # start at w_0 = 1: mu takes the row of the top load, slacks the rest
-    tab = basis_tableau(a, b, [0] + [1 + j for j in range(m) if j != top]
-                        + [m + 1])
+    master = basis_start(a, b, [0] + [1 + j for j in range(m) if j != top]
+                         + [m + 1])
     c = np.zeros(m + 2)
     c[0] = 1.0
     bound = 0.0
     for _ in range(_MAX_COLUMNS):
-        before = tab.iterations
-        if tab.run(c, 200 * sum(tab.a.shape)) is not Status.OPTIMAL:
+        before = master.iterations
+        if master.run(c, 200 * sum(master.a.shape)) is not Status.OPTIMAL:
             break
-        cb = c[tab.basis]
-        value = cb @ tab.b
-        # the slack block of the tableau is B^-1 of the load rows
-        prices = -(cb @ tab.a[:, 1:m + 1])
+        value = c[master.basis] @ master.xb
+        prices = -master.duals(c)[:m]
         loads = _argmin_loads(times, prices)
         bound = max(bound, prices @ loads)
         # stop at the optimum, or when the last column did not enter
-        if value - bound <= _DW_GAP * value or (c.size > m + 2
-                                                 and tab.iterations == before):
+        if value - bound <= _DW_GAP * value or (
+                c.size > m + 2 and master.iterations == before):
             break
-        # B^-1 (loads, 1): the conv-row column of B^-1 is B^-1 b = x_B
-        tab.a = np.column_stack([tab.a, tab.a[:, 1:m + 1] @ loads + tab.b])
+        master.add_column(np.append(loads, 1.0))
         c = np.append(c, 0.0)
     return prices
 

@@ -1,10 +1,11 @@
 """Command-line harness: gen / solve / sweep / verify.
 
 Exit codes: 0 success (and convergence for `solve`), 2 iteration limit,
-1 any error. All output files embed the seed, the git-describe string of
-the working tree (when available), and the full configuration, so runs
-can be reproduced bit-identically; wall-clock timings go to a separate
-timings file to keep the result CSVs deterministic.
+1 any error, usage errors included. All output files embed the seed, the
+git-describe string of the working tree (when available), and the full
+configuration, so runs can be reproduced bit-identically; wall-clock
+timings go to a separate timings file to keep the result CSVs
+deterministic.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracle, optimizer, placement, scenario as scenario_mod, svg
+from . import (channel, oracle, optimizer, placement,
+               scenario as scenario_mod, svg)
 from .channel import ChannelParams
 from .scenario import FleetConfig, Box, ScenarioError
 
@@ -285,29 +287,26 @@ def _verify_checks(level):
                                                           seed=k))
     yield ("bound-domination", worst <= 1e-9, f"max violation {worst:.3e}")
 
-    # finite differences of the bound coefficients
+    # the bound coefficients against finite differences of the outage rate
+    # in (v, squared horizontal distance) at a fixed altitude
     params = ChannelParams()
+    gamma = params.gamma(0.1)
     rng = np.random.default_rng(0)
     max_err = 0.0
     n_pts = 1000 if level == "full" else 200
     for _ in range(n_pts):
         v_hat = rng.uniform(0.05, 0.999)
-        d_sq = rng.uniform(1600.0, 3e4)
-        gamma = params.gamma(0.1)
+        sq_hat = rng.uniform(1.0, 1e4)
+        h_hat = rng.uniform(40.0, 80.0)
+        d_sq = sq_hat + h_hat ** 2
         ce, cq = placement.taylor_coefficients(v_hat, d_sq, gamma, params)
-
-        def f(p):
-            x, y = p
-            e = np.exp(-(params.k3 + params.k4 * v_hat))
-            xc, yc = 1 + e, d_sq
-            return params.bandwidth_hz * np.log2(
-                1 + (params.k1 + params.k2 / (x + xc))
-                * gamma / (y + yc) ** (params.pathloss_exp / 2))
-
         e_hat = np.exp(-(params.k3 + params.k4 * v_hat))
+        slopes = np.array([ce * params.k4 * e_hat, -cq])
         err = oracle.finite_diff_check(
-            f, lambda p: np.array([-ce, -cq]), np.zeros(2),
-            step=1e-5, scales=(1 + e_hat, d_sq))
+            lambda p: float(channel.outage_rate(p[1], h_hat, p[0], 0.1,
+                                                params)),
+            lambda p: slopes, np.array([v_hat, sq_hat]),
+            step=1e-6, scales=(1.0, d_sq))
         max_err = max(max_err, err)
     yield ("coefficient-finite-difference", max_err <= 1e-6,
            f"max rel error {max_err:.3e}")
@@ -388,7 +387,10 @@ def main(argv=None):
     p.add_argument("--level", default="fast", choices=("fast", "full"))
     p.set_defaults(fn=cmd_verify)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:          # --help exits 0, a usage error 2
+        return 1 if exc.code else 0
     try:
         return args.fn(args)
     except (ScenarioError, ValueError, OSError) as exc:

@@ -1,14 +1,17 @@
-"""Dense two-phase simplex for small/medium LPs.
+"""Revised two-phase simplex for small/medium LPs.
 
 Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
 
-Pivoting is Dantzig's rule with lowest-index tie-breaks, switching
-permanently to Bland's rule after a run of degenerate pivots, so the
-method is deterministic and cannot cycle. An optimal return carries the
-dual point recovered from the final basis; the reported kkt_residual is
-the primal-dual objective gap. A caller that knows a feasible basis can
-start phase 2 from it (``solve_lp(lp, basis=...)``, built by
-``basis_tableau``), skipping phase 1.
+The simplex state is the basis, B^-1 and x_B (``Simplex``): each pivot
+prices the original columns with the multipliers c_B B^-1, forms only
+the entering column B^-1 a_q, and updates B^-1 and x_B. Pivoting is
+Dantzig's rule with lowest-index tie-breaks, switching permanently to
+Bland's rule after a run of degenerate pivots, so the method is
+deterministic and cannot cycle. An optimal return carries the dual point
+of the final basis, factored afresh from its original columns; the
+reported kkt_residual is the primal-dual objective gap. A caller that
+knows a feasible basis can start phase 2 from it (``solve_lp(lp,
+basis=...)``, built by ``basis_start``), skipping phase 1.
 """
 
 from __future__ import annotations
@@ -64,28 +67,39 @@ class LinearProgram:
             raise ValueError("a_eq/b_eq dimensions inconsistent with c")
 
 
-class _Tableau:
-    """Equality-form tableau  A y = b, b >= 0, with an explicit basis."""
+class Simplex:
+    """Revised simplex on the equality form  A y = b, b >= 0.
 
-    def __init__(self, a, b, basis):
+    The state is the basis, B^-1 and x_B = B^-1 b; pricing reads the
+    original columns ``a``, to which a caller may append columns between
+    runs (``add_column``).
+    """
+
+    def __init__(self, a, binv, xb, basis):
         self.a = a
-        self.b = b
+        self.binv = binv
+        self.xb = xb
         self.basis = basis
         self.degenerate_run = 0
         self.use_bland = False
         self.iterations = 0
 
+    def duals(self, c):
+        """The simplex multipliers c_B B^-1 for objective c."""
+        return c[self.basis] @ self.binv
+
+    def add_column(self, col):
+        self.a = np.column_stack([self.a, col])
+
     def run(self, c, max_iter):
         """Primal simplex on the current basis for objective c (full length)."""
-        a, b = self.a, self.b
+        a, xb, basis = self.a, self.xb, self.basis
         m = a.shape[0]
-        basis = self.basis
         while True:
             if self.iterations >= max_iter:
                 return Status.ITER_LIMIT
-            cb = c[basis]
-            # reduced costs via the current (already pivoted) tableau rows
-            z = cb @ a - c
+            z = self.duals(c) @ a - c
+            z[basis] = 0.0             # exactly, whatever B^-1's rounding
             if self.use_bland:
                 cand = np.flatnonzero(z > 1e-10)
                 if cand.size == 0:
@@ -95,12 +109,12 @@ class _Tableau:
                 enter = int(np.argmax(z))
                 if z[enter] <= 1e-10:
                     return Status.OPTIMAL
-            col = a[:, enter]
+            col = self.binv @ a[:, enter]
             pos = col > 1e-10
             if not np.any(pos):
                 return Status.UNBOUNDED
             ratios = np.full(m, np.inf)
-            ratios[pos] = b[pos] / col[pos]
+            ratios[pos] = xb[pos] / col[pos]
             rmin = ratios.min()
             if self.use_bland:
                 # leaving: smallest basis index among the min-ratio rows
@@ -114,24 +128,26 @@ class _Tableau:
                     self.use_bland = True
             else:
                 self.degenerate_run = 0
-            self._pivot(leave, enter)
-            basis[leave] = enter
+            self.pivot(leave, enter, col)
             self.iterations += 1
 
-    def _pivot(self, row, col):
-        a, b = self.a, self.b
-        piv = a[row, col]
-        a[row] /= piv
-        b[row] /= piv
-        factors = a[:, col].copy()
+    def pivot(self, row, enter, col):
+        """Basis change: column ``enter``, whose B^-1 a is ``col``, replaces
+        the basic variable of ``row``."""
+        binv, xb = self.binv, self.xb
+        piv = col[row]
+        binv[row] /= piv
+        xb[row] /= piv
+        factors = col.copy()
         factors[row] = 0.0
-        a -= np.outer(factors, a[row])
-        b -= factors * b[row]
-        np.maximum(b, 0.0, out=b)
+        binv -= np.outer(factors, binv[row])
+        xb -= factors * xb[row]
+        np.maximum(xb, 0.0, out=xb)
+        self.basis[row] = enter
 
 
-def basis_tableau(a, b, basis):
-    """The tableau of ``a y = b`` at a starting basis, or None.
+def basis_start(a, b, basis):
+    """The simplex state of ``a y = b`` at a starting basis, or None.
 
     ``basis`` holds one column index per row. None means the basis cannot
     start phase 2: it has the wrong size or an index out of range, its
@@ -154,9 +170,7 @@ def basis_tableau(a, b, basis):
     xb = binv @ b
     if np.any(xb < -1e-9 * max(1.0, np.abs(xb).max())):
         return None
-    ta = binv @ a
-    ta[:, basis] = np.eye(m)
-    return _Tableau(ta, np.maximum(xb, 0.0), basis.copy())
+    return Simplex(a, binv, np.maximum(xb, 0.0), basis.copy())
 
 
 def solve_lp(lp: LinearProgram, basis=None) -> SolveStatus:
@@ -164,12 +178,12 @@ def solve_lp(lp: LinearProgram, basis=None) -> SolveStatus:
 
     ``basis`` optionally names a starting basis: one index per row (a_ub
     rows first) into the columns [x | slacks of the a_ub rows]. If
-    ``basis_tableau`` accepts it, phase 2 pivots from there; otherwise the
+    ``basis_start`` accepts it, phase 2 pivots from there; otherwise the
     two-phase method runs from scratch, as without it.
 
     Both phases together take at most 200 pivots per row and column of
-    the tableau; an optimum whose primal-dual gap exceeds 1e-7 (relative
-    to max(1, |objective|)) is reported as a numerical failure.
+    the equality form; an optimum whose primal-dual gap exceeds 1e-7
+    (relative to max(1, |objective|)) is reported as a numerical failure.
     """
     c, a_ub, b_ub, a_eq, b_eq = lp.c, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq
     n = c.size
@@ -187,81 +201,65 @@ def solve_lp(lp: LinearProgram, basis=None) -> SolveStatus:
     b[neg] *= -1.0
 
     n_cols = n + m_ub
-    tab = None if basis is None else basis_tableau(a, b, basis)
-    if tab is not None:
-        a0, b0 = a, b                  # basis_tableau leaves both as they are
+    sim = None if basis is None else basis_start(a, b, basis)
+    if sim is not None:
         max_iter = 200 * (m + n_cols)
     else:
-        # initial basis: slack columns where usable, artificials elsewhere
-        start = np.full(m, -1, dtype=int)
-        art_rows = []
-        for i in range(m):
-            if i < m_ub and not neg[i]:
-                start[i] = n + i
-            else:
-                art_rows.append(i)
-        if art_rows:
-            art = np.zeros((m, len(art_rows)))
-            for k, i in enumerate(art_rows):
-                art[i, k] = 1.0
-                start[i] = n_cols + k
-            a = np.hstack([a, art])
-
-        a0 = a.copy()
-        b0 = b.copy()
-        tab = _Tableau(a, b, start)
+        # initial basis: slack columns where usable, artificials elsewhere;
+        # either way a unit matrix, so B^-1 = I and x_B = b
+        art_rows = np.flatnonzero(neg | (np.arange(m) >= m_ub))
+        start = n + np.arange(m)
+        start[art_rows] = n_cols + np.arange(art_rows.size)
+        a = np.hstack([a, np.eye(m)[:, art_rows]])
+        sim = Simplex(a, np.eye(m), b.copy(), start)
         max_iter = 200 * (m + a.shape[1])
 
-        if art_rows:
+        if art_rows.size:
             c1 = np.zeros(a.shape[1])
             c1[n_cols:] = 1.0
-            st = tab.run(c1, max_iter)
+            st = sim.run(c1, max_iter)
             if st is Status.ITER_LIMIT:
                 return SolveStatus(Status.ITER_LIMIT,
-                                   iterations=tab.iterations)
-            phase1_obj = float(c1[tab.basis] @ tab.b)
+                                   iterations=sim.iterations)
+            phase1_obj = float(c1[sim.basis] @ sim.xb)
             if phase1_obj > 1e-7:
                 return SolveStatus(Status.INFEASIBLE,
-                                   iterations=tab.iterations)
+                                   iterations=sim.iterations)
             # drive remaining artificials out of the basis where possible
             for i in range(m):
-                if tab.basis[i] >= n_cols:
-                    row = tab.a[i, :n_cols]
+                if sim.basis[i] >= n_cols:
+                    row = sim.binv[i] @ a[:, :n_cols]
                     j = int(np.argmax(np.abs(row)))
                     if abs(row[j]) > 1e-9:
-                        tab._pivot(i, j)
-                        tab.basis[i] = j
-            # freeze artificial columns at zero
-            tab.a[:, n_cols:] = 0.0
-    total_cols = a0.shape[1]
+                        sim.pivot(i, j, sim.binv @ a[:, j])
+            # freeze artificials at zero; a keeps them for the gap check
+            sim.a = a.copy()
+            sim.a[:, n_cols:] = 0.0
 
-    c2 = np.zeros(total_cols)
+    c2 = np.zeros(a.shape[1])
     c2[:n] = c
-    st = tab.run(c2, max_iter)
+    st = sim.run(c2, max_iter)
     if st is Status.ITER_LIMIT:
-        return SolveStatus(Status.ITER_LIMIT, iterations=tab.iterations)
+        return SolveStatus(Status.ITER_LIMIT, iterations=sim.iterations)
     if st is Status.UNBOUNDED:
-        return SolveStatus(Status.UNBOUNDED, iterations=tab.iterations)
+        return SolveStatus(Status.UNBOUNDED, iterations=sim.iterations)
 
-    y = np.zeros(total_cols)
-    y[tab.basis] = tab.b
+    y = np.zeros(a.shape[1])
+    y[sim.basis] = sim.xb
     x = y[:n]
     primal = float(c @ x)
-    # dual point from the final basis of the original equality-form system:
-    # solve B^T pi = c_B, dual objective = pi . b0
+    # dual point from the final basis of the original equality-form system,
+    # factored afresh rather than read off the B^-1 the pivots maintained:
+    # solve B^T pi = c_B, dual objective = pi . b
     try:
-        bb = tab.basis.copy()
-        pi = np.linalg.lstsq(a0[:, bb].T, c2[bb], rcond=None)[0]
-        dual = float(pi @ b0)
+        pi = np.linalg.solve(a[:, sim.basis].T, c2[sim.basis])
+        dual = float(pi @ b)
     except np.linalg.LinAlgError:
         return SolveStatus(Status.NUMERICAL_FAILURE, objective=primal, x=x,
-                           iterations=tab.iterations)
+                           iterations=sim.iterations)
     scale = max(1.0, abs(primal))
     kkt = abs(primal - dual) / scale
-    if kkt > 1e-7:
-        return SolveStatus(Status.NUMERICAL_FAILURE, objective=primal, x=x,
-                           kkt_residual=kkt, iterations=tab.iterations,
-                           dual_objective=dual)
-    return SolveStatus(Status.OPTIMAL, objective=primal, x=x,
-                       kkt_residual=kkt, iterations=tab.iterations,
+    return SolveStatus(Status.OPTIMAL if kkt <= 1e-7
+                       else Status.NUMERICAL_FAILURE, objective=primal, x=x,
+                       kkt_residual=kkt, iterations=sim.iterations,
                        dual_objective=dual)

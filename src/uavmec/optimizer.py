@@ -54,8 +54,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be > 0")
+        if not 0 < self.rel_tol < np.inf:
+            raise ValueError("rel_tol must be finite and > 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import linprog
 
 from association_reference import cold_relaxed, round_rows
 from uavmec import association, channel, oracle
@@ -140,6 +141,27 @@ class TestPricedStart:
         # the Lagrangian value of the prices is the LP value
         assert np.sum(np.min(times * prices, axis=1)) == pytest.approx(
             cold_relaxed(times)[1], rel=1e-9)
+
+    @given(st.integers(1, 60), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_highs(self, n, m, seed):
+        # an LP solver that shares no code with the product: HiGHS, with
+        # feasibility tolerances tighter than its 1e-7 defaults, at which
+        # it can stop 4e-9 relative above the optimum on these times
+        times = log_uniform_times(n, m, seed)
+        prog = association.relaxed_lp(times)
+        ref = linprog(prog.c, A_ub=prog.a_ub, b_ub=prog.b_ub, A_eq=prog.a_eq,
+                      b_eq=prog.b_eq, method="highs",
+                      options=dict(primal_feasibility_tolerance=1e-10,
+                                   dual_feasibility_tolerance=1e-10))
+        assert ref.status == 0
+        assert association.solve_relaxed(times)[1] == pytest.approx(
+            ref.fun, rel=1e-9)
+        # with M <= N a random draw has one optimal dual point; the load
+        # rows' marginals are -lambda
+        if m <= n:
+            assert association.dual_prices(times) == pytest.approx(
+                -ref.ineqlin.marginals, abs=1e-7)
 
     @pytest.mark.parametrize("times", [
         np.tile([[0.7, 1.3, 0.9]], (6, 1)),                 # co-located UEs

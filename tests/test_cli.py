@@ -98,6 +98,14 @@ class TestSolve:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-0.5"])
+    def test_bad_tolerance_is_error(self, scenario_file, tmp_path, capsys,
+                                    tol):
+        code = cli.main(["solve", "--scenario", str(scenario_file),
+                         "--tol", tol, "--restarts", "1",
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "rel_tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("where, key, value", [
         ("ue", "x_m", "12.5"),
@@ -231,3 +239,29 @@ class TestVerify:
         lines = [ln for ln in out.splitlines() if ln]
         assert len(lines) == 4
         assert all(ln.startswith("PASS") for ln in lines)
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["magic"],
+        ["gen", "--ues", "x", "--uavs", "2", "--out", "sc.json"],
+        ["gen", "--uavs", "2", "--out", "sc.json"],
+        ["solve"],
+        ["solve", "--scenario", "sc.json", "--restarts", "1.5"],
+        ["solve", "--scenario", "sc.json", "--method", "magic"],
+        ["sweep", "--spec", "spec.json", "--jobs", "two"],
+        ["sweep"],
+        ["verify", "--level", "slow"],
+    ])
+    def test_usage_error_exits_1(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["gen", "--help"], ["solve", "--help"],
+        ["sweep", "--help"], ["verify", "--help"],
+    ])
+    def test_help_exits_0(self, argv, capsys):
+        assert cli.main(argv) == 0
+        assert "usage" in capsys.readouterr().out

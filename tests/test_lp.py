@@ -96,6 +96,7 @@ def test_matches_reference_solver_on_random_lps(seed):
     assert ref.status == 0
     assert res.status is Status.OPTIMAL
     assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+    assert res.dual_objective == pytest.approx(ref.fun, abs=1e-7)
     # the returned point must itself be feasible
     assert np.all(a_ub @ res.x <= b_ub + 1e-8)
     assert np.all(res.x >= -1e-9) and np.all(res.x <= hi + 1e-9)
@@ -116,6 +117,7 @@ def test_matches_reference_solver_with_equalities(seed):
     assert ref.status == 0
     assert res.status is Status.OPTIMAL
     assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+    assert res.dual_objective == pytest.approx(ref.fun, abs=1e-7)
 
 
 # min mu  s.t.  2 a1 <= mu, a2 <= mu, a1 + a2 = 1 (test_minmax_split_program);

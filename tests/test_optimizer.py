@@ -8,6 +8,7 @@ import pytest
 
 from association_reference import cold_relaxed
 from uavmec import association, channel, oracle
+from uavmec.lp import solve_lp
 from uavmec.optimizer import (Deployment, OptimizerConfig, completion_time,
                               kmeans, solve, solve_clbo, solve_hpo,
                               solve_proposed, solve_vpo)
@@ -103,6 +104,8 @@ class TestConfig:
         dict(max_outer_iters=0),
         dict(rel_tol=0.0),
         dict(restarts=0),
+        dict(rel_tol=float("inf")),
+        dict(rel_tol=float("nan")),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -290,3 +293,21 @@ class TestPricedAssociation:
             ref = quiet_solve(sc, method, c)
             assert rep.mu.hex() == ref.mu.hex()
             assert np.array_equal(rep.association, ref.association)
+
+    @pytest.mark.parametrize("seed", [925312022, 932482408, 1258493683])
+    def test_priced_basis_is_optimal_at_200_by_10(self, seed, monkeypatch):
+        # instances where a master scaled to values below 1 ended pricing
+        # about 1e-9 relative above the LP optimum: the priced basis then
+        # missed tied pairs and the certifying call solved from scratch
+        # (over 1100 pivots)
+        pivots = []
+
+        def spy(prog, basis=None):
+            res = solve_lp(prog, basis=basis)
+            pivots.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(association, "solve_lp", spy)
+        quiet_solve(generate(seed, 200, FleetConfig(num_uavs=10)), "proposed",
+                    OptimizerConfig(restarts=1, max_outer_iters=2, seed=seed))
+        assert pivots == [0, 0]
