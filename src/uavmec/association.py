@@ -12,11 +12,13 @@ Its dual is M-dimensional: max over prices lambda in the simplex of
 sum_i min_j lambda_j t_ij. Dantzig-Wolfe column generation finds the
 optimal prices on an (M+1)-row master LP whatever N is, run on the
 revised simplex of ``lp`` with raw columns appended; by complementary
-slackness they name a starting basis (mu plus every UE-UAV pair whose
-priced time ties its row minimum), and one ``solve_lp`` call on the full
-LP starts from it. At a nondegenerate optimum that basis is already
-optimal, so the call costs no pivot and only certifies it; in degenerate
-cases (such as co-located UEs) it pivots on or solves from scratch.
+slackness they name a starting basis (mu, each UE's cheapest UAV at
+those prices, the slacks of unpriced load rows, and the other pairs
+closest to a tie that fill it to N + M columns), and one ``solve_lp``
+call on the full LP starts from it. At a nondegenerate optimum that
+basis is already optimal, so the call costs no pivot and only certifies
+it; in degenerate cases (such as co-located UEs) it pivots on or solves
+from scratch.
 
 Rounding sets the first entry >= 0.5 per row, falling back to the row
 argmax so that every row ends with exactly one 1 even for degenerate
@@ -32,7 +34,6 @@ from .lp import LinearProgram, Status, basis_start, solve_lp
 
 _DW_GAP = 1e-13          # relative master-minus-bound gap that ends pricing
 _MAX_COLUMNS = 10000     # pricing rounds at most; the simplex certifies anyway
-_TIE_RTOL = 1e-9         # priced times this close to their row minimum tie
 
 
 class AssociationError(RuntimeError):
@@ -95,8 +96,8 @@ def dual_prices(times):
     n, m = times.shape
     # scaled so that the LP value lies in [1, M]: the simplex's entering
     # tolerance (1e-10) is absolute, so at smaller values pricing could end
-    # about 1e-9 relative above the optimum, with prices too far off for
-    # the tie tolerance of solve_relaxed
+    # about 1e-9 relative above the optimum, with prices too far off to
+    # name the optimal basis in solve_relaxed
     times = times * (m / times.min(axis=1).sum())
     prices = np.full(m, 1.0 / m)
     loads = _argmin_loads(times, prices)
@@ -137,11 +138,14 @@ def solve_relaxed(times):
 
     Returns (frac, mu): an (N, M) row-stochastic matrix in [0, 1] and the
     LP objective value. The simplex starts from the basis that the dual
-    prices give by complementary slackness: mu, every pair (i, j) whose
-    priced time lambda_j t_ij ties its row minimum, and the slack of each
-    unpriced load row. At a nondegenerate optimum that basis is optimal
-    and the call only certifies it; otherwise the simplex pivots on, or
-    starts from scratch when the basis is unusable.
+    prices give by complementary slackness: mu, each row's pair (i, j)
+    of least priced time lambda_j t_ij, the slack of each unpriced load
+    row, and as many other pairs as a basis has room for (M - 1 less the
+    unpriced rows), those of least gap to their row minimum relative to
+    it. A count rather than a tolerance decides the ties, so prices that
+    are slightly off still name the basis. At a nondegenerate optimum that
+    basis is optimal and the call only certifies it; otherwise the simplex
+    pivots on, or starts from scratch when the basis is unusable.
     """
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)) or np.any(times <= 0):
@@ -149,9 +153,19 @@ def solve_relaxed(times):
     n, m = times.shape
     prices = dual_prices(times)
     priced = times * prices
-    tie = priced <= priced.min(axis=1, keepdims=True) * (1.0 + _TIE_RTOL)
-    basis = np.concatenate([[n * m], np.flatnonzero(tie),
-                            n * m + 1 + np.flatnonzero(prices == 0.0)])
+    rows = np.arange(n)
+    best = np.argmin(priced, axis=1)
+    low = priced[rows, best]
+    # relative gap of every other pair to its row minimum
+    gap = (priced - low[:, None]) / np.where(low > 0.0, low, 1.0)[:, None]
+    gap[rows, best] = np.inf
+    # a basis has N + M columns: mu, one pair per row, the slacks of the
+    # unpriced load rows and, to fill it, the pairs closest to a tie
+    unpriced = np.flatnonzero(prices == 0.0)
+    split = np.argsort(gap, axis=None, kind="stable")[:m - 1 - unpriced.size]
+    basis = np.concatenate([[n * m],
+                            np.sort(np.concatenate([rows * m + best, split])),
+                            n * m + 1 + unpriced])
     res = solve_lp(relaxed_lp(times), basis=basis)
     if res.status is not Status.OPTIMAL:
         raise AssociationError(f"association LP failed: {res.status.value}")

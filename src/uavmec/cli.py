@@ -182,6 +182,9 @@ def _spec_list(spec, key):
 
 
 def run_sweep(spec: dict, out_dir, jobs=1):
+    if (isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral)
+            or jobs < 1):
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     if not isinstance(spec, dict):
         raise ValueError("sweep spec must be a JSON object")
     missing = [k for k in ("sweep_var", "values", "methods") if k not in spec]
@@ -215,8 +218,11 @@ def run_sweep(spec: dict, out_dir, jobs=1):
 
     points = [(sweep_var, v, m, s, n_ues, n_uavs, max_iters, tol, restarts)
               for v in values for m in methods for s in seeds]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
+    # the pool starts all its workers at once, so start no idle ones
+    workers = min(jobs, len(points))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers) as ex:
             rows = list(ex.map(_sweep_point, points))
     else:
         rows = [_sweep_point(p) for p in points]

@@ -1,8 +1,10 @@
 """Outer block-coordinate loop and baseline methods.
 
 The proposed method alternates, per outer iteration: (1) association by
-relaxed LP + rounding, (2) per-UAV horizontal SCA step, (3) per-UAV
-vertical SCA step, until the min-max completion time stops improving.
+relaxed LP + rounding, (2) the horizontal SCA step of every UAV, (3) the
+vertical SCA step of every UAV, until the min-max completion time stops
+improving. Each SCA step is one call for all UAVs, whose subproblems are
+independent.
 
 Baselines:
 * hpo  — horizontal-only, altitudes pinned at HPO_ALTITUDE (60 m);
@@ -15,6 +17,7 @@ Baselines:
 
 from __future__ import annotations
 
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -52,6 +55,11 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_outer_iters", "restarts", "seed"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
         if not 0 < self.rel_tol < np.inf:
@@ -157,17 +165,21 @@ def _bcd(scenario, config, init: Deployment, model="rician",
     """Core alternating loop; returns a SolveReport without the method tag.
 
     Each deployment's service-time matrix is computed once: the matrix at
-    the end of an iteration gives its mu and the next association.
+    the end of an iteration gives its mu and the next association. Each
+    placement step is one block call for all UAVs, on one expansion point
+    with a row per UE; the vertical step hands on each UE's (v, z) for the
+    report's tightness diagnostics.
     """
     box = scenario.fleet.box
     dep = init.clipped(box)
     m = scenario.fleet.num_uavs
+    data = (scenario.data_bits, scenario.cycles, scenario.fleet.cpu_hz)
     association = fixed_association
     if fixed_association is None:
         times = assoc_mod.service_time_matrix(scenario, dep, model=model)
     mu_prev = np.inf
     trace = []
-    tightness = [None] * m
+    vertical = None
     converged = False
     for _ in range(config.max_outer_iters):
         if fixed_association is None:
@@ -180,24 +192,19 @@ def _bcd(scenario, config, init: Deployment, model="rician",
                               "incumbent assignment", stacklevel=2)
                 new_assoc = association
             association = new_assoc
-        for j in range(m):
-            served = np.flatnonzero(association[:, j])
-            if served.size == 0:
-                tightness[j] = None
-                continue
-            ep = placement.ExpansionPoint.at(
-                dep.q[j], dep.h[j], scenario.positions[served],
-                scenario.tx_powers[served], scenario.channel, model)
-            data = (scenario.data_bits[served], scenario.cycles[served],
-                    scenario.fleet.cpu_hz)
-            if do_horizontal:
-                sol = placement.solve_horizontal(ep, data, box)
-                dep.q[j] = sol.position
-                ep = sol.point
-            if do_vertical:
-                sol = placement.solve_vertical(ep, data, box)
-                dep.h[j] = sol.position
-                tightness[j] = (served, sol.v, sol.z, sol.accepted)
+        # one expansion row per UE, at its UAV's position
+        owner = np.argmax(association, axis=1)
+        ep = placement.ExpansionPoint.at(
+            dep.q[owner], dep.h[owner], scenario.positions,
+            scenario.tx_powers, scenario.channel, model)
+        if do_horizontal:
+            sol = placement.horizontal_block(ep, owner, dep.q, dep.h, data,
+                                             box)
+            dep.q, ep = sol.q, sol.point
+        if do_vertical:
+            vertical = placement.vertical_block(ep, owner, dep.q, dep.h, data,
+                                                box)
+            dep.h = vertical.h
         times = assoc_mod.service_time_matrix(scenario, dep, model=model)
         mu, per_uav = _loads(association, times)
         trace.append(mu)
@@ -206,6 +213,13 @@ def _bcd(scenario, config, init: Deployment, model="rician",
             converged = True
             break
         mu_prev = mu
+    tightness = [None] * m
+    if vertical is not None:
+        for j in range(m):
+            served = np.flatnonzero(owner == j)
+            if served.size:
+                tightness[j] = (served, vertical.v[served],
+                                vertical.z[served], bool(vertical.accepted[j]))
     return SolveReport(method="", mu=mu, mu_trace=trace, deployment=dep,
                        association=association, per_uav_times=per_uav,
                        iterations=len(trace), wall_s=0.0, converged=converged,

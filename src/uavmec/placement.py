@@ -1,7 +1,7 @@
-"""Per-UAV convex subproblems for the alternating placement steps.
+"""Convex subproblems for the alternating placement steps, all UAVs at once.
 
-Each call linearizes the rate model once around the current iterate (the
-expansion point) and minimizes the UAV's completion time under the
+Each step linearizes the rate model once around the current iterate (the
+expansion point) and minimizes every UAV's completion time under the
 resulting global lower bounds:
 
 * horizontal step: the elevation sine is replaced by its tangent in
@@ -11,22 +11,29 @@ resulting global lower bounds:
   the rate is lower-bounded affinely in H^2.
 
 In the epigraph form of either step the sine and rate bounds are tight at
-the optimum, so both are eliminated in closed form: what remains is a
-smooth convex function of q in R^2 (or of H in R) over the box, minimized
-by projected Newton (``solve_convex``) with one Newton oracle for both
-steps (``_Step.__call__``); each step supplies only its geometry. Rates
-are scaled by the expansion rates internally, so every scaled rate bound
-equals 1 at the expansion point; all public values are in bits/s.
+the optimum, so both are eliminated in closed form: what remains is, per
+UAV, a smooth convex function of q in R^2 (or of H in R) over the box.
+The UAVs' problems are independent, so one call solves them all
+(``horizontal_block``, ``vertical_block``): one Newton oracle for both
+steps (``_Step.__call__``) evaluates the per-UE terms of every UAV at
+once and sums them per UAV, and one projected Newton
+(``projected_newton``) runs on all UAVs, each with its own free set,
+line search and stopping rule. Each step supplies only its geometry.
+Rates are scaled by the expansion rates internally, so every scaled rate
+bound equals 1 at the expansion point; all public values are in bits/s.
 
 The expansion point carries the model, powers and parameters of its
-rates. A descent safeguard rejects any step that would increase the true
-completion time, evaluated as the expansion point at the returned
-position; the solution hands that point on (``SubproblemSolution.point``,
-the input point after a rejection), so the next step reuses its rates.
+rates, one row per UE. A descent safeguard rejects, UAV by UAV, any step
+that would increase that UAV's true completion time, evaluated as the
+expansion point at the returned positions; the solution hands that point
+on (``BlockSolution.point``; a rejected UAV keeps its rows), so the next
+step reuses its rates. ``solve_horizontal``, ``solve_vertical`` and
+``solve_convex`` are the one-UAV (one-problem) forms of the same code.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +49,11 @@ MU_CAP = 1e9            # seconds
 
 @dataclass(frozen=True)
 class ExpansionPoint:
-    """Distances, sines and rates of one UAV's served UEs at an iterate."""
+    """Distances, sines and rates of UEs at an iterate: one UAV's served
+    UEs at its position, or one row per UE at that UE's UAV's position."""
 
-    q_hat: np.ndarray          # (2,)
-    h_hat: float
+    q_hat: np.ndarray          # (2,), or (S, 2) with one row per UE
+    h_hat: float               # or (S,)
     ue_pos: np.ndarray         # (S, 2)
     horiz_sq_hat: np.ndarray   # (S,)
     d_sq_hat: np.ndarray       # (S,)
@@ -82,6 +90,21 @@ class SubproblemSolution:
     status: Status
     accepted: bool             # False if the descent safeguard kept the old point
     point: ExpansionPoint      # expansion point at the returned position
+
+
+@dataclass(frozen=True)
+class BlockSolution:
+    """One placement step of all K UAVs; per-UE arrays are in UE order."""
+
+    q: np.ndarray              # (K, 2) horizontal positions after the step
+    h: np.ndarray              # (K,) altitudes after the step
+    v: np.ndarray              # (N,) elevation-sine variables at the optimum
+    z: np.ndarray              # (N,) rate variables, bits/s
+    mu: np.ndarray             # (K,) step objectives (old times if rejected)
+    status: np.ndarray         # (K,) Status of each UAV's Newton run
+    accepted: np.ndarray       # (K,) False where the safeguard kept the
+                               # old point
+    point: ExpansionPoint      # per-UE expansion point at the new positions
 
 
 def _exp_term(v, params):
@@ -167,77 +190,141 @@ NEWTON_TOL = 1e-8      # Newton decrement relative to the step's value
 _MAX_NEWTON = 4000
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
-_OUTSIDE = (np.inf, None, None)
+
+
+@dataclass(frozen=True)
+class NewtonRows:
+    """Per-row result of ``projected_newton``."""
+
+    x: np.ndarray              # (K, n) last iterates (clipped starts if
+                               # infeasible there)
+    objective: np.ndarray      # (K,) values at x (+inf if infeasible)
+    status: np.ndarray         # (K,) Status
+    iterations: np.ndarray     # (K,) Newton steps taken
+
+
+def projected_newton(fun, x0, lo, hi) -> NewtonRows:
+    """Minimize K independent smooth convex functions, one per row of x0
+    (K, n), over the box [lo, hi].
+
+    fun(x) returns per row (values (K,), gradients (K, n), Hessians
+    (K, n, n)), the value +inf where the row is outside its function's
+    domain. Projected Newton (Bertsekas, SIAM J. Control Optim. 20(2),
+    1982), row by row: a coordinate on a bound whose gradient points out
+    of the box stays there and the others take the Newton step of their
+    own block (the system with the fixed rows and columns replaced by the
+    identity). Should that step leave the box through a coordinate already
+    on a bound, the gradient scaled by the Hessian diagonal is taken
+    instead, so the projected path always descends. Armijo backtracking
+    along the projected path; a row stops after the step whose Newton
+    decrement -g.d / 2 was at most NEWTON_TOL times its value, or at a
+    stationary point, and is frozen from then on.
+    """
+    x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
+    f, g, hess = fun(x)
+    k, n = x.shape
+    status = np.full(k, Status.ITER_LIMIT, dtype=object)
+    iterations = np.full(k, _MAX_NEWTON)
+    live = np.isfinite(f)
+    status[~live] = Status.INFEASIBLE
+    iterations[~live] = 0
+
+    def stop(rows, st, its):
+        if rows.any():
+            status[rows], iterations[rows] = st, its
+            live[rows] = False
+
+    for step in range(_MAX_NEWTON):
+        if not live.any():
+            break
+        at_lo, at_hi = x <= lo, x >= hi
+        free = live[:, None] & ~((at_lo & (g > 0)) | (at_hi & (g < 0))
+                                 | (at_lo & at_hi))
+        g_free = np.where(free, g, 0.0)
+        d = -np.linalg.solve(
+            np.where(free[:, :, None] & free[:, None, :], hess, np.eye(n)),
+            g_free[..., None])[..., 0]
+        out = free & ((at_lo & (d < 0)) | (at_hi & (d > 0))).any(
+            axis=1, keepdims=True)
+        if out.any():
+            d[out] = -g[out] / np.diagonal(hess, axis1=1, axis2=2)[out]
+        gap = -0.5 * np.sum(g_free * d, axis=1)
+        stop(live & ~np.isfinite(gap), Status.NUMERICAL_FAILURE, step)
+        stop(live & (gap <= 0.0), Status.OPTIMAL, step)
+        search, alpha = live.copy(), 1.0
+        for _ in range(_MAX_HALVINGS):
+            if not search.any():
+                break
+            x_try = np.where(search[:, None],
+                             np.minimum(np.maximum(x + alpha * d, lo), hi), x)
+            f_try, g_try, h_try = fun(x_try)
+            ok = search & (f_try <= f + _ARMIJO
+                           * np.sum(g * (x_try - x), axis=1))
+            if np.array_equal(ok, search):
+                # the other rows were evaluated where they stand
+                x, f, g, hess = x_try, f_try, g_try, h_try
+                search[:] = False
+                break
+            x[ok], f[ok], g[ok], hess[ok] = (x_try[ok], f_try[ok], g_try[ok],
+                                             h_try[ok])
+            search &= ~ok
+            alpha *= 0.5
+        # rows still searching found no decrease in floating point
+        small = gap <= NEWTON_TOL * np.abs(f)
+        stop(search & small, Status.OPTIMAL, step + 1)
+        stop(search & ~small, Status.NUMERICAL_FAILURE, step + 1)
+        stop(live & small, Status.OPTIMAL, step + 1)
+    return NewtonRows(x=x, objective=f, status=status, iterations=iterations)
 
 
 def solve_convex(fun, x0, lo, hi) -> SolveStatus:
-    """Minimize a smooth convex function over the box [lo, hi] from x0.
+    """``projected_newton`` on one problem: fun(x) returns (value,
+    gradient, Hessian) at x (n,), or a value of +inf outside its domain."""
+    n = np.size(x0)
 
-    fun(x) returns (value, gradient, Hessian), or a value of +inf outside
-    the function's domain. Projected Newton (Bertsekas, SIAM J. Control
-    Optim. 20(2), 1982): a coordinate on a bound whose gradient points out
-    of the box stays there and the others take the Newton step of their
-    own block. Should that step leave the box through a coordinate already
-    on a bound, the gradient scaled by the Hessian diagonal is taken
-    instead, so the projected path always descends. Armijo backtracking
-    along the projected path; the run stops after the step whose Newton
-    decrement -g.d / 2 was at most NEWTON_TOL times the value, or at a
-    stationary point.
-    """
-    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    f, g, hess = fun(x)
-    if not np.isfinite(f):
+    def rows(x):
+        f, g, hess = fun(x[0])
+        if not np.isfinite(f):
+            return np.array([np.inf]), np.zeros((1, n)), np.zeros((1, n, n))
+        return (np.array([f], dtype=float), np.array(g, dtype=float)[None],
+                np.array(hess, dtype=float)[None])
+
+    res = projected_newton(rows, np.reshape(x0, (1, n)), lo, hi)
+    if res.status[0] is Status.INFEASIBLE:
         return SolveStatus(Status.INFEASIBLE)
-    for step in range(_MAX_NEWTON):
-        at_lo, at_hi = x <= lo, x >= hi
-        free = ~((at_lo & (g > 0)) | (at_hi & (g < 0)) | (at_lo & at_hi))
-        d = np.zeros_like(x)
-        if free.any():
-            d[free] = -np.linalg.solve(hess[np.ix_(free, free)], g[free])
-            if np.any((at_lo & (d < 0)) | (at_hi & (d > 0))):
-                d[free] = -g[free] / np.diag(hess)[free]
-        gap = -0.5 * float(g @ d)
-        if not np.isfinite(gap):
-            return SolveStatus(Status.NUMERICAL_FAILURE, objective=f, x=x,
-                               iterations=step)
-        if gap <= 0.0:
-            return SolveStatus(Status.OPTIMAL, objective=f, x=x,
-                               kkt_residual=0.0, iterations=step)
-        alpha = 1.0
-        for _ in range(_MAX_HALVINGS):
-            x_new = np.clip(x + alpha * d, lo, hi)
-            f_new, g_new, h_new = fun(x_new)
-            if f_new <= f + _ARMIJO * float(g @ (x_new - x)):
-                break
-            alpha *= 0.5
-        else:
-            # no decrease left to find in floating point
-            status = (Status.OPTIMAL if gap <= NEWTON_TOL * abs(f)
-                      else Status.NUMERICAL_FAILURE)
-            return SolveStatus(status, objective=f, x=x, kkt_residual=gap,
-                               iterations=step + 1)
-        x, f, g, hess = x_new, f_new, g_new, h_new
-        if gap <= NEWTON_TOL * abs(f):
-            return SolveStatus(Status.OPTIMAL, objective=f, x=x,
-                               kkt_residual=gap, iterations=step + 1)
-    return SolveStatus(Status.ITER_LIMIT, objective=f, x=x,
-                       iterations=_MAX_NEWTON)
+    return SolveStatus(res.status[0], objective=float(res.objective[0]),
+                       x=res.x[0], iterations=int(res.iterations[0]))
 
 
 class _Step:
-    """One SCA step reduced to its placement coordinates x: minimize
-    f(x) = sum_i a_i / z_i + c_fix, with the scaled rate bound
+    """One SCA step of every UAV at once, reduced to its placement
+    coordinates: row k of x holds the coordinates of the k-th UAV that
+    serves a UE, and that UAV minimizes f_k(x_k) = sum_i a_i / z_i + c_fix
+    over its UEs i, with the scaled rate bound
     z_i = 1 + ce_i (E(v_hat_i) - E(v_i)) - cq_i ds_i, E(v) = exp(-(k3 + k4 v)).
 
-    Subclasses supply the geometry, ``geometry(x)`` -> (ds, v, grad ds,
-    grad v, d2s, d2v) with (S, n) gradients and the Hessians of ds_i and v_i
-    as per-UE multiples d2s, d2v of the identity, and set ``x_hat``,
-    ``lo``/``hi``, ``place(x)`` -> (q, h) and ``position(x)``.
+    ``exp_point`` holds one row per UE, expanded at its UAV's position;
+    ``owner`` maps each UE to its UAV, and (q, h) are the positions of all
+    UAVs. Per-UE terms are summed per UAV with ``np.bincount``, which adds
+    each UAV's UEs in UE order, so a UAV's result does not depend on the
+    others. Subclasses supply the geometry, ``geometry(x)`` -> (ds, v,
+    grad ds, grad v, d2s, d2v) per UE, with (S, n) gradients and the
+    Hessians of ds_i and v_i as per-UE multiples d2s, d2v of the identity,
+    and set ``x_hat``, ``lo``/``hi`` and ``place(x)`` -> (q, h).
     """
 
-    def __init__(self, exp_point, ue_data):
+    def __init__(self, exp_point, owner, q, h, ue_data, box):
         data_bits, cycles, cpu_hz = ue_data
         ep = exp_point
+        self.q = np.asarray(q, dtype=float)
+        self.h = np.asarray(h, dtype=float)
+        self.owner = np.asarray(owner)
+        # rows of x: the UAVs that serve a UE, in index order
+        serves = np.bincount(self.owner, minlength=self.h.size) > 0
+        self.uavs = np.flatnonzero(serves)
+        self.row = (np.cumsum(serves) - 1)[self.owner]
+        cols = 2 + self.n + self.n * self.n
+        self._bins = (self.row[:, None] * cols + np.arange(cols)).ravel()
         # the one place the model is decided; under LoS the rate bound
         # ignores the sine, so the horizontal step keeps it fixed
         if ep.model == "rician":
@@ -254,123 +341,184 @@ class _Step:
         self.data_bits = data_bits
         self.c_ue = cycles / cpu_hz
         self.a = data_bits / ep.r_hat
-        self.c_fix = float(np.sum(self.c_ue))
+        self.c_fix = self._sum(self.c_ue)
         self.ce = coef_exp / ep.r_hat
+        self.ce_k4 = self.ce * self.k4
         self.cq = coef_quad / ep.r_hat
         self.e_hat = _exp_term(ep.v_hat, ep.params)
         self.z_min = Z_FLOOR / ep.r_hat
+
+    def _sum(self, per_ue):
+        """Per-UAV sums (one per row of x) of per-UE values."""
+        return np.bincount(self.row, weights=per_ue,
+                           minlength=self.uavs.size)
 
     def _rate_bound(self, ds, v):
         e = _exp_term(v, self.ep.params)
         return e, 1.0 + self.ce * (self.e_hat - e) - self.cq * ds
 
     def __call__(self, x):
-        """(f, grad f, Hess f) at x, or +inf outside the domain. By the
-        chain rule, grad z = ce k4 E grad v - cq grad ds and
+        """Per row of x: (f, grad f, Hess f), f = +inf outside the domain.
+        By the chain rule, grad z = ce k4 E grad v - cq grad ds and
         Hess z = ce k4 E (Hess v - k4 grad v grad v^T) - cq Hess ds."""
+        k, n = x.shape
+        s = self.a.size
         ds, v, g_ds, g_v, d2s, d2v = self.geometry(x)
-        if np.any(v < V_FLOOR):
-            return _OUTSIDE
-        e, z = self._rate_bound(ds, v)
-        if np.any(z < self.z_min):
-            return _OUTSIDE
-        f = float(np.sum(self.a / z)) + self.c_fix
-        if not f <= MU_CAP:
-            return _OUTSIDE
+        # UEs outside the domain get harmless stand-in values; their
+        # UAV's value is +inf
+        e, z = self._rate_bound(ds, np.maximum(v, V_FLOOR))
+        outside = (v < V_FLOOR) | (z < self.z_min)
+        z = np.where(outside, 1.0, z)
         w = self.a / z ** 2
-        p = self.ce * self.k4 * e
+        p = self.ce_k4 * e
         g_z = p[:, None] * g_v - self.cq[:, None] * g_ds
-        hess = ((g_z.T * (2.0 * w / z)) @ g_z
-                + (g_v.T * (self.k4 * w * p)) @ g_v
-                + float(np.sum(w * (self.cq * d2s - p * d2v)))
-                * np.eye(x.size))
-        return f, -(w @ g_z), hess
+        hess = ((2.0 * w / z)[:, None, None]
+                * g_z[:, :, None] * g_z[:, None, :]
+                + (self.k4 * w * p)[:, None, None]
+                * g_v[:, :, None] * g_v[:, None, :]
+                + (w * (self.cq * d2s - p * d2v))[:, None, None] * np.eye(n))
+        terms = np.empty((s, 2 + n + n * n))
+        terms[:, 0] = self.a / z
+        terms[:, 1] = outside
+        terms[:, 2:2 + n] = -w[:, None] * g_z
+        terms[:, 2 + n:] = hess.reshape(s, n * n)
+        sums = np.bincount(self._bins, weights=terms.ravel(),
+                           minlength=k * terms.shape[1]).reshape(k, -1)
+        f = sums[:, 0] + self.c_fix
+        f[(sums[:, 1] > 0) | ~(f <= MU_CAP)] = np.inf
+        return f, sums[:, 2:2 + n], sums[:, 2 + n:].reshape(k, n, n)
 
-    def time(self, point):
-        """Exact completion time at an expansion point of these UEs."""
-        return float(np.sum(self.data_bits / point.r_hat + self.c_ue))
+    def _point(self, x):
+        q, h = self.place(x)
+        ep = self.ep
+        return ExpansionPoint.at(q[self.owner], h[self.owner], ep.ue_pos,
+                                 ep.tx_powers, ep.params, ep.model)
+
+    def _time(self, point):
+        """Exact per-UAV completion times at an expansion point."""
+        return self._sum(self.data_bits / point.r_hat + self.c_ue)
 
     def solve(self):
-        """Minimize from the expansion point, then apply the descent
-        safeguard."""
+        """Minimize every UAV's step from the expansion point, then apply
+        the descent safeguard UAV by UAV."""
         ep = self.ep
-        t_old = self.time(ep)
-        res = solve_convex(self, self.x_hat, self.lo, self.hi)
-        if res.x is not None and res.status not in (Status.INFEASIBLE,
-                                                    Status.NUMERICAL_FAILURE):
-            q, h = self.place(res.x)
-            point = ExpansionPoint.at(q, h, ep.ue_pos, ep.tx_powers,
-                                      ep.params, ep.model)
-            if self.time(point) <= t_old + 1e-9:
-                ds, v = self.geometry(res.x)[:2]
-                z = self._rate_bound(ds, v)[1]
-                return SubproblemSolution(
-                    position=self.position(res.x), v=v, z=z * ep.r_hat,
-                    mu=res.objective, status=res.status, accepted=True,
-                    point=point)
-        return SubproblemSolution(position=self.position(self.x_hat),
-                                  v=ep.v_hat.copy(), z=ep.r_hat.copy(),
-                                  mu=t_old, status=res.status, accepted=False,
-                                  point=ep)
+        res = projected_newton(self, self.x_hat, self.lo, self.hi)
+        t_old = self._time(ep)
+        ok = ((res.status != Status.INFEASIBLE)
+              & (res.status != Status.NUMERICAL_FAILURE))
+        x = np.where(ok[:, None], res.x, self.x_hat)
+        point = self._point(x)
+        accepted = ok & (self._time(point) <= t_old + 1e-9)
+        if (ok & ~accepted).any():
+            # a rejected UAV keeps its position, so its rows are unchanged
+            x = np.where(accepted[:, None], x, self.x_hat)
+            point = self._point(x)
+        ds, v = self.geometry(x)[:2]
+        kept = ~accepted[self.row]
+        z = np.where(kept, ep.r_hat, self._rate_bound(ds, v)[1] * ep.r_hat)
+        q, h = self.place(x)
+        m = self.h.size
+        status = np.full(m, Status.OPTIMAL, dtype=object)
+        status[self.uavs] = res.status
+        acc = np.ones(m, dtype=bool)
+        acc[self.uavs] = accepted
+        mu = np.zeros(m)
+        mu[self.uavs] = np.where(accepted, res.objective, t_old)
+        return BlockSolution(q=q, h=h, v=np.where(kept, ep.v_hat, v), z=z,
+                             mu=mu, status=status, accepted=acc, point=point)
 
 
 class _Horizontal(_Step):
     """q alone, v_i = v_lb_i(q): with u_i = q - w_i, ds_i = |u_i|^2 - s_hat_i
     has gradient 2 u_i and Hessian 2 I, v_i = v_hat_i - sigma_i ds_i."""
 
-    def __init__(self, exp_point, ue_data, box):
-        super().__init__(exp_point, ue_data)
-        self.x_hat = exp_point.q_hat
+    n = 2
+
+    def __init__(self, exp_point, owner, q, h, ue_data, box):
+        super().__init__(exp_point, owner, q, h, ue_data, box)
+        self.d2v = -2.0 * self.sigma
+        self.x_hat = self.q[self.uavs]
         self.lo = np.array([box.x_min, box.y_min])
         self.hi = np.array([box.x_max, box.y_max])
 
-    def geometry(self, q):
+    def geometry(self, x):
         ep = self.ep
-        u = q - ep.ue_pos
+        u = x[self.row] - ep.ue_pos
         ds = np.einsum("ij,ij->i", u, u) - ep.horiz_sq_hat
         return (ds, ep.v_hat - self.sigma * ds, 2.0 * u,
-                (-2.0 * self.sigma)[:, None] * u, 2.0, -2.0 * self.sigma)
+                self.d2v[:, None] * u, 2.0, self.d2v)
 
-    def place(self, q):
-        return q, self.ep.h_hat
-
-    def position(self, q):
-        return q.copy()
+    def place(self, x):
+        q = self.q.copy()
+        q[self.uavs] = x
+        return q, self.h
 
 
 class _Vertical(_Step):
     """H alone, with the exact sine v_i = H / d_i, d_i^2 = s_i + H^2:
     ds_i = H^2 - H_hat^2, v_i' = s_i / d_i^3 and v_i'' = -3 s_i H / d_i^5."""
 
-    def __init__(self, exp_point, ue_data, box):
-        super().__init__(exp_point, ue_data)
-        self.x_hat = np.array([exp_point.h_hat])
+    n = 1
+
+    def __init__(self, exp_point, owner, q, h, ue_data, box):
+        super().__init__(exp_point, owner, q, h, ue_data, box)
+        self.x_hat = self.h[self.uavs, None]
         self.lo = np.array([box.h_min])
         self.hi = np.array([box.h_max])
 
     def geometry(self, x):
-        h = x[0]
+        h = x[self.row, 0]
         s = self.ep.horiz_sq_hat
         d_sq = s + h * h
-        ds = np.full_like(s, h * h - self.ep.h_hat ** 2)
-        return (ds, h / np.sqrt(d_sq), np.full((s.size, 1), 2.0 * h),
-                (s / d_sq ** 1.5)[:, None], 2.0, -3.0 * s * h / d_sq ** 2.5)
+        return (h * h - self.ep.h_hat ** 2, h / np.sqrt(d_sq),
+                (2.0 * h)[:, None], (s / d_sq ** 1.5)[:, None], 2.0,
+                -3.0 * s * h / d_sq ** 2.5)
 
     def place(self, x):
-        return self.ep.q_hat, x[0]
+        h = self.h.copy()
+        h[self.uavs] = x[:, 0]
+        return self.q, h
 
-    def position(self, x):
-        return np.float64(x[0])
+
+def horizontal_block(exp_point, owner, q, h, ue_data, box) -> BlockSolution:
+    """One SCA step on the horizontal positions of all UAVs at fixed
+    altitudes.
+
+    exp_point has one row per UE, expanded at (q[owner], h[owner]); owner
+    maps each UE to its UAV and ue_data is (data_bits, cycles, cpu_hz) per
+    UE. A UAV that serves no UE is left where it is (status OPTIMAL,
+    accepted, mu 0).
+    """
+    return _Horizontal(exp_point, owner, q, h, ue_data, box).solve()
+
+
+def vertical_block(exp_point, owner, q, h, ue_data, box) -> BlockSolution:
+    """One SCA step on the altitudes of all UAVs at fixed horizontal
+    positions (arguments as for ``horizontal_block``)."""
+    return _Vertical(exp_point, owner, q, h, ue_data, box).solve()
+
+
+def _one_uav(block, exp_point, ue_data, box):
+    ep = exp_point
+    sol = block(ep, np.zeros(ep.r_hat.size, dtype=int), ep.q_hat[None],
+                np.array([ep.h_hat]), ue_data, box)
+    q, h = sol.q[0], np.float64(sol.h[0])
+    point = (dataclasses.replace(sol.point, q_hat=q, h_hat=h)
+             if sol.accepted[0] else ep)
+    return SubproblemSolution(
+        position=q if block is horizontal_block else h, v=sol.v, z=sol.z,
+        mu=float(sol.mu[0]), status=sol.status[0],
+        accepted=bool(sol.accepted[0]), point=point)
 
 
 def solve_horizontal(exp_point: ExpansionPoint, ue_data, box):
-    """One SCA step on a UAV's horizontal position at fixed altitude.
+    """``horizontal_block`` for the one UAV whose UEs exp_point holds.
 
     ue_data is (data_bits, cycles, cpu_hz) for the UEs of exp_point.
     """
-    return _Horizontal(exp_point, ue_data, box).solve()
+    return _one_uav(horizontal_block, exp_point, ue_data, box)
 
 
 def solve_vertical(exp_point: ExpansionPoint, ue_data, box):
-    """One SCA step on a UAV's altitude at fixed horizontal position."""
-    return _Vertical(exp_point, ue_data, box).solve()
+    """``vertical_block`` for the one UAV whose UEs exp_point holds."""
+    return _one_uav(vertical_block, exp_point, ue_data, box)

@@ -231,6 +231,48 @@ class TestSweep:
         assert cli.main(["sweep", "--spec", str(spec_path),
                          "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_error(self, tmp_path, capsys, jobs):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(self.SPEC))
+        assert cli.main(["sweep", "--spec", str(spec_path), "--out",
+                         str(tmp_path / "o"), "--jobs", jobs]) == 1
+        assert "jobs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("jobs", [0, -3, True, 2.0, "2"])
+    def test_run_sweep_rejects_bad_jobs(self, tmp_path, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            cli.run_sweep(self.SPEC, tmp_path / "o", jobs=jobs)
+
+    @pytest.mark.parametrize("jobs, workers", [(2, 2), (3, 3), (64, 8),
+                                               (10 ** 6, 8)])
+    def test_pool_capped_at_points(self, tmp_path, monkeypatch, jobs,
+                                   workers):
+        # a stand-in pool that records its size and runs in this process:
+        # no worker process is started, whatever jobs asks for
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                            FakePool)
+        cli.run_sweep(self.SPEC, tmp_path / "o", jobs=jobs)   # 8 points
+        assert sizes == [workers]
+        lines = (tmp_path / "o" / "results.csv").read_text().splitlines()
+        assert len(lines) == 2 + 8
+
 
 class TestVerify:
     def test_fast_level_passes(self, capsys):

@@ -1,13 +1,14 @@
 """Outer loop and baselines: completion time, k-means, convergence, and
 the expected ordering between methods."""
 
+import collections
 import warnings
 
 import numpy as np
 import pytest
 
 from association_reference import cold_relaxed
-from uavmec import association, channel, oracle
+from uavmec import association, channel, oracle, placement
 from uavmec.lp import solve_lp
 from uavmec.optimizer import (Deployment, OptimizerConfig, completion_time,
                               kmeans, solve, solve_clbo, solve_hpo,
@@ -106,10 +107,22 @@ class TestConfig:
         dict(restarts=0),
         dict(rel_tol=float("inf")),
         dict(rel_tol=float("nan")),
+        dict(restarts=2.5),
+        dict(max_outer_iters=2.5),
+        dict(seed=1.5),
+        dict(restarts=True),
+        dict(max_outer_iters=True),
+        dict(seed=False),
+        dict(seed="1"),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             OptimizerConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = OptimizerConfig(max_outer_iters=np.int64(3),
+                              restarts=np.int32(2), seed=np.uint8(7))
+        assert (cfg.max_outer_iters, cfg.restarts, cfg.seed) == (3, 2, 7)
 
     def test_unknown_method_rejected(self, medium_scenario):
         with pytest.raises(ValueError, match="unknown method"):
@@ -210,6 +223,32 @@ class TestEvaluateOnce:
         assert len(calls) == rep.iterations + extra
 
 
+class TestOneBlockPerStep:
+    """All UAVs take each placement step in one call: one horizontal and
+    one vertical block per outer iteration, and no per-UAV call."""
+
+    @pytest.mark.parametrize("method, horizontal, vertical", [
+        ("proposed", 1, 1), ("hpo", 1, 0), ("vpo", 0, 1), ("clbo", 1, 1)])
+    def test_block_calls_per_iteration(self, method, horizontal, vertical,
+                                       monkeypatch):
+        calls = collections.Counter()
+        for name in ("horizontal_block", "vertical_block",
+                     "solve_horizontal", "solve_vertical", "solve_convex"):
+            inner = getattr(placement, name)
+
+            def counting(*args, _inner=inner, _name=name, **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(placement, name, counting)
+        sc = generate(2, 12, FleetConfig(num_uavs=3))
+        rep = quiet_solve(sc, method, OptimizerConfig(restarts=1, seed=2))
+        assert rep.iterations >= 2
+        assert calls == collections.Counter(
+            horizontal_block=horizontal * rep.iterations,
+            vertical_block=vertical * rep.iterations)
+
+
 class TestBaselines:
     def test_hpo_pins_altitude(self, medium_scenario):
         rep = quiet_solve(medium_scenario, "hpo",
@@ -294,12 +333,14 @@ class TestPricedAssociation:
             assert rep.mu.hex() == ref.mu.hex()
             assert np.array_equal(rep.association, ref.association)
 
-    @pytest.mark.parametrize("seed", [925312022, 932482408, 1258493683])
+    @pytest.mark.parametrize("seed", [925312022, 932482408, 1258493683,
+                                      1878861697])
     def test_priced_basis_is_optimal_at_200_by_10(self, seed, monkeypatch):
         # instances where a master scaled to values below 1 ended pricing
         # about 1e-9 relative above the LP optimum: the priced basis then
         # missed tied pairs and the certifying call solved from scratch
-        # (over 1100 pivots)
+        # (over 1100 pivots); on 1878861697 a pair 8.8e-9 relative above
+        # its row minimum missed a 1e-9 tie tolerance the same way
         pivots = []
 
         def spy(prog, basis=None):

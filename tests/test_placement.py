@@ -5,11 +5,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sca_epigraph
 from uavmec import channel, oracle, placement
 from uavmec.channel import ChannelParams
-from uavmec.lp import SolveStatus, Status
+from uavmec.lp import Status
 from uavmec.placement import ExpansionPoint
 from uavmec.scenario import Box, FleetConfig, generate
 
@@ -249,22 +251,52 @@ class TestVerticalStep:
             assert box.h_min - 1e-9 <= float(sol.position) <= box.h_max + 1e-9
 
 
-def _captured_solve(monkeypatch):
-    """Record the SolveStatus of every placement.solve_convex call."""
+def _captured_newton(monkeypatch):
+    """Record the NewtonRows of every placement.projected_newton call."""
     calls = []
-    inner = placement.solve_convex
+    inner = placement.projected_newton
 
     def recording(*args, **kwargs):
         calls.append(inner(*args, **kwargs))
         return calls[-1]
 
-    monkeypatch.setattr(placement, "solve_convex", recording)
+    monkeypatch.setattr(placement, "projected_newton", recording)
     return calls
 
 
+def random_block(rng, params, model, k, max_ues=5, box=Box()):
+    """(exp_point, owner, q, h, ue_data) for k UAVs serving 1..max_ues UEs
+    each; the UEs of different UAVs are interleaved."""
+    owner = rng.permutation(np.repeat(np.arange(k),
+                                      rng.integers(1, max_ues + 1, size=k)))
+    pos = rng.uniform(0, 100, size=(owner.size, 2))
+    q = rng.uniform(20, 80, size=(k, 2))
+    h = rng.uniform(box.h_min + 5.0, box.h_max - 5.0, size=k)
+    bits = 10 ** rng.uniform(4, 7, size=owner.size)
+    ep = ExpansionPoint.at(q[owner], h[owner], pos, np.full(owner.size, 0.1),
+                           params, model)
+    return ep, owner, q, h, (bits, 300.0 * bits, 2e9)
+
+
+def one_uav_rows(block, j):
+    """The arguments of UAV j's one-UAV call: its rows of the expansion
+    point, in the same order."""
+    ep, owner, q, h, (bits, cycles, cpu_hz) = block
+    sel = owner == j
+    sub = ExpansionPoint.at(ep.q_hat[sel], ep.h_hat[sel], ep.ue_pos[sel],
+                            ep.tx_powers[sel], ep.params, ep.model)
+    return (sub, np.zeros(sel.sum(), dtype=int), q[j:j + 1], h[j:j + 1],
+            (bits[sel], cycles[sel], cpu_hz))
+
+
+STEPS = {"horizontal": placement.horizontal_block,
+         "vertical": placement.vertical_block}
+
+
 class TestNewtonOracle:
-    """The shared Newton oracle's gradient and Hessian against central
-    differences of its own value and gradient."""
+    """The shared Newton oracle, evaluated for several UAVs in one call:
+    each UAV's gradient and Hessian against central differences of its own
+    value and gradient, with the other UAVs' rows unaffected."""
 
     @pytest.mark.parametrize("model", ["rician", "los"])
     @pytest.mark.parametrize("step_cls", [placement._Horizontal,
@@ -273,23 +305,198 @@ class TestNewtonOracle:
                                                   step_cls):
         rng = np.random.default_rng(7)
         box = Box()
-        for _ in range(20):
-            s = int(rng.integers(1, 6))
-            ep = make_ep(rng.uniform(20, 80, size=2), rng.uniform(45, 75),
-                         rng.uniform(0, 100, size=(s, 2)), params, model)
-            step = step_cls(ep, ue_data_for(ep), box)
-            x = step.x_hat + rng.uniform(-3.0, 3.0, size=step.x_hat.size)
-            f, grad, hess = step(x)
-            assert np.isfinite(f)
-            assert oracle.finite_diff_check(lambda y: step(y)[0],
-                                            lambda y: step(y)[1], x,
-                                            step=1e-6) <= 1e-6
-            for k in range(x.size):
-                assert oracle.finite_diff_check(
-                    lambda y: step(y)[1][k], lambda y: step(y)[2][k], x,
-                    step=1e-6) <= 1e-6
-            np.testing.assert_allclose(hess, hess.T, rtol=1e-12)
-            assert np.all(np.linalg.eigvalsh(hess) > 0)
+        for _ in range(10):
+            k = int(rng.integers(2, 5))
+            oracle_k = step_cls(*random_block(rng, params, model, k), box)
+            x = oracle_k.x_hat + rng.uniform(-3.0, 3.0,
+                                             size=oracle_k.x_hat.shape)
+            f, grad, hess = oracle_k(x)
+            n = x.shape[1]
+            assert f.shape == (k,) and grad.shape == (k, n)
+            assert hess.shape == (k, n, n)
+            assert np.all(np.isfinite(f))
+            for r in range(k):
+                def at(y, r=r):
+                    moved = x.copy()
+                    moved[r] = y
+                    got = oracle_k(moved)
+                    others = np.arange(k) != r
+                    assert np.array_equal(got[0][others], f[others])
+                    return got[0][r], got[1][r], got[2][r]
+
+                assert oracle.finite_diff_check(lambda y: at(y)[0],
+                                                lambda y: at(y)[1], x[r],
+                                                step=1e-6) <= 1e-6
+                for c in range(n):
+                    assert oracle.finite_diff_check(
+                        lambda y: at(y)[1][c], lambda y: at(y)[2][c], x[r],
+                        step=1e-6) <= 1e-6
+                np.testing.assert_allclose(hess[r], hess[r].T, rtol=1e-12)
+                assert np.all(np.linalg.eigvalsh(hess[r]) > 0)
+
+
+def _same(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _assert_uav_matches(sol, ref, j, sel):
+    """UAV j of a K-UAV solution against its one-UAV solution ``ref``,
+    bit for bit."""
+    assert _same(sol.q[j], ref.q[0]) and _same(sol.h[j], ref.h[0])
+    assert sol.status[j] is ref.status[0]
+    assert sol.accepted[j] == ref.accepted[0]
+    assert _same(sol.mu[j], ref.mu[0])
+    assert _same(sol.v[sel], ref.v) and _same(sol.z[sel], ref.z)
+
+
+class TestBlock:
+    """One call for all UAVs gives each UAV exactly its one-UAV result."""
+
+    @given(st.integers(1, 5), st.sampled_from(["rician", "los"]),
+           st.sampled_from(["horizontal", "vertical"]),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_each_uav_bit_identical_to_its_own_call(self, k, model, step,
+                                                    seed):
+        rng = np.random.default_rng(seed)
+        block = random_block(rng, ChannelParams(), model, k, max_ues=11)
+        solve = STEPS[step]
+        sol = solve(*block, Box())
+        owner = block[1]
+        for j in range(k):
+            _assert_uav_matches(sol, solve(*one_uav_rows(block, j), Box()),
+                                j, owner == j)
+
+    def _others_unchanged(self, sol, block, solve, bad):
+        owner = block[1]
+        for j in range(len(block[3])):
+            if j != bad:
+                _assert_uav_matches(
+                    sol, solve(*one_uav_rows(block, j), Box()), j, owner == j)
+
+    def _kept(self, sol, block, bad):
+        ep, owner, q, h, _ = block
+        sel = owner == bad
+        assert not sol.accepted[bad]
+        assert _same(sol.q[bad], q[bad]) and _same(sol.h[bad], h[bad])
+        assert _same(sol.v[sel], ep.v_hat[sel])
+        assert _same(sol.z[sel], ep.r_hat[sel])
+        for name in ("horiz_sq_hat", "d_sq_hat", "v_hat", "r_hat"):
+            assert _same(getattr(sol.point, name)[sel],
+                         getattr(ep, name)[sel]), name
+
+    @pytest.mark.parametrize("cause", ["time_cap", "rate_floor"])
+    @pytest.mark.parametrize("step", ["horizontal", "vertical"])
+    def test_infeasible_start_isolated(self, params, step, cause):
+        rng = np.random.default_rng(3)
+        ep, owner, q, h, (bits, cycles, cpu_hz) = random_block(
+            rng, params, "rician", 4)
+        if cause == "time_cap":                   # time far above MU_CAP
+            bits = np.where(owner == 2, 1e20, bits)
+        else:
+            # a UE 1e6 m away gets a rate below Z_FLOOR, with a time below
+            # MU_CAP for a small task
+            far = np.flatnonzero(owner == 2)[0]
+            pos = ep.ue_pos.copy()
+            pos[far] = [1e6, 0.0]
+            bits[far] = 1e3
+            ep = ExpansionPoint.at(q[owner], h[owner], pos, ep.tx_powers,
+                                   params)
+            assert ep.r_hat[far] < placement.Z_FLOOR
+            assert bits[far] / ep.r_hat[far] < placement.MU_CAP
+        block = (ep, owner, q, h, (bits, cycles, cpu_hz))
+        solve = STEPS[step]
+        sol = solve(*block, Box())
+        assert sol.status[2] is Status.INFEASIBLE
+        self._kept(sol, block, 2)
+        self._others_unchanged(sol, block, solve, 2)
+
+    @pytest.mark.parametrize("step", ["horizontal", "vertical"])
+    def test_numerical_failure_isolated(self, params, step, monkeypatch):
+        block = random_block(np.random.default_rng(4), params, "rician", 4)
+        solve = STEPS[step]
+        inner = placement._Step.__call__
+
+        def nan_gradient(self, x):
+            f, g, hess = inner(self, x)
+            g = g.copy()
+            g[np.flatnonzero(self.uavs == 1)] = np.nan
+            return f, g, hess
+
+        monkeypatch.setattr(placement._Step, "__call__", nan_gradient)
+        sol = solve(*block, Box())
+        monkeypatch.undo()
+        assert sol.status[1] is Status.NUMERICAL_FAILURE
+        self._kept(sol, block, 1)
+        self._others_unchanged(sol, block, solve, 1)
+
+    @pytest.mark.parametrize("step", ["horizontal", "vertical"])
+    def test_rejected_step_isolated(self, params, step, monkeypatch):
+        # UAV 0's "optimum" is the box corner far from its UEs, which makes
+        # its time worse: the safeguard rejects it, and only it
+        box = Box()
+        rng = np.random.default_rng(5)
+        ep, owner, q, h, data = random_block(rng, params, "rician", 3)
+        pos = np.where((owner == 0)[:, None], 10.0, ep.ue_pos)
+        q[0] = [10.0, 10.0]
+        ep = ExpansionPoint.at(q[owner], h[owner], pos, ep.tx_powers, params)
+        block = (ep, owner, q, h, data)
+        solve = STEPS[step]
+        inner = placement.projected_newton
+
+        def corner(fun, x0, lo, hi):
+            res = inner(fun, x0, lo, hi)
+            x = res.x.copy()
+            x[0] = hi
+            return dataclasses.replace(res, x=x)
+
+        monkeypatch.setattr(placement, "projected_newton", corner)
+        sol = solve(*block, box)
+        monkeypatch.undo()
+        assert sol.status[0] is Status.OPTIMAL
+        self._kept(sol, block, 0)
+        self._others_unchanged(sol, block, solve, 0)
+
+    @pytest.mark.parametrize("step", ["horizontal", "vertical"])
+    def test_empty_uav_untouched(self, params, step):
+        ep, owner, q, h, data = random_block(np.random.default_rng(6), params,
+                                             "rician", 3)
+        owner = np.where(owner == 1, 2, owner)      # UAV 1 serves nobody
+        ep = ExpansionPoint.at(q[owner], h[owner], ep.ue_pos, ep.tx_powers,
+                               params)
+        block = (ep, owner, q, h, data)
+        solve = STEPS[step]
+        sol = solve(*block, Box())
+        assert _same(sol.q[1], q[1]) and _same(sol.h[1], h[1])
+        assert sol.status[1] is Status.OPTIMAL and sol.mu[1] == 0.0
+        self._others_unchanged(sol, block, solve, 1)
+
+
+class TestSolveConvex:
+    """The one-problem form of the projected Newton."""
+
+    def test_box_constrained_quadratic(self):
+        # minimum of (x - c)^T A (x - c) at c = (0.5, -1), outside the box
+        # [0, 1]^2: the KKT point has x1 on its lower bound (its gradient
+        # there is 1.75 > 0) and x0 = c0 + A01 c1 / A00 = 0.25, the
+        # minimizer along x0 with x1 = 0
+        a = np.array([[2.0, 0.5], [0.5, 1.0]])
+        c = np.array([0.5, -1.0])
+
+        def fun(x):
+            r = x - c
+            return 1.0 + r @ a @ r, 2.0 * a @ r, 2.0 * a
+
+        res = placement.solve_convex(fun, np.array([0.5, 0.5]), np.zeros(2),
+                                     np.ones(2))
+        assert res.status is Status.OPTIMAL
+        np.testing.assert_allclose(res.x, [0.25, 0.0], atol=1e-12)
+        assert res.iterations <= 5
+
+    def test_infeasible_start(self):
+        res = placement.solve_convex(lambda x: (np.inf, None, None),
+                                     np.zeros(1), np.zeros(1), np.ones(1))
+        assert res.status is Status.INFEASIBLE and res.x is None
 
 
 class TestPointHandOff:
@@ -323,9 +530,11 @@ class TestPointHandOff:
         # an "optimum" in the far corner makes the UE's time worse
         box = Box()
         ep = make_ep([20.0, 20.0], 60.0, [[20.0, 20.0]], params)
-        monkeypatch.setattr(placement, "solve_convex", lambda *a, **k: (
-            SolveStatus(status, objective=0.0,
-                        x=np.array([box.x_max, box.y_max]))))
+        monkeypatch.setattr(placement, "projected_newton", lambda *a, **k: (
+            placement.NewtonRows(
+                x=np.array([[box.x_max, box.y_max]]),
+                objective=np.zeros(1), status=np.array([status]),
+                iterations=np.zeros(1, dtype=int))))
         sol = placement.solve_horizontal(ep, ue_data_for(ep), box)
         assert not sol.accepted
         assert sol.point is ep
@@ -338,7 +547,7 @@ class TestAgainstBarrierReference:
 
     @pytest.mark.parametrize("model", ["rician", "los"])
     def test_random_expansion_points(self, params, model, monkeypatch):
-        calls = _captured_solve(monkeypatch)
+        calls = _captured_newton(monkeypatch)
         rng = np.random.default_rng(2024 if model == "rician" else 2025)
         box = Box()
         for k in range(24):
@@ -356,11 +565,11 @@ class TestAgainstBarrierReference:
                 ours(ep, data, box)
                 got = calls[-1]
                 want, want_pos = ref(ep, data, box, params, model=model)
-                assert got.status is Status.OPTIMAL
+                assert got.status[0] is Status.OPTIMAL
                 assert want.status is Status.OPTIMAL
-                assert got.iterations <= 15
-                assert got.objective <= want.objective + 1e-8
-                assert np.max(np.abs(got.x - want_pos)) <= 1e-3, (k, ours)
+                assert got.iterations[0] <= 15
+                assert got.objective[0] <= want.objective + 1e-8
+                assert np.max(np.abs(got.x[0] - want_pos)) <= 1e-3, (k, ours)
 
 
 class TestDegenerateSteps:
