@@ -15,10 +15,13 @@ revised simplex of ``lp`` with raw columns appended; by complementary
 slackness they name a starting basis (mu, each UE's cheapest UAV at
 those prices, the slacks of unpriced load rows, and the other pairs
 closest to a tie that fill it to N + M columns), and one ``solve_lp``
-call on the full LP starts from it. At a nondegenerate optimum that
-basis is already optimal, so the call costs no pivot and only certifies
-it; in degenerate cases (such as co-located UEs) it pivots on or solves
-from scratch.
+call on the full LP runs phase 2 from it. At a nondegenerate optimum
+that basis is already optimal, so the call costs no pivot and only
+certifies it. Where degeneracy (such as co-located UEs) leaves it
+singular or infeasible, phase 2 starts from the fastest-UAV vertex,
+which is always feasible and well conditioned. Both run on the times
+scaled to an LP value in [1, M], where the simplex's absolute
+tolerances act as relative ones.
 
 Rounding sets the first entry >= 0.5 per row, falling back to the row
 argmax so that every row ends with exactly one 1 even for degenerate
@@ -92,13 +95,11 @@ def dual_prices(times):
     lambda . L (= sum_i min_j lambda_j t_ij) bounds it from below. The
     master stays warm: each new column is appended as it is, and the
     prices are the negated simplex multipliers of its load rows.
+
+    The simplex's tolerances are absolute, so ``times`` should be scaled
+    as ``solve_relaxed`` scales them, to an LP value in [1, M].
     """
     n, m = times.shape
-    # scaled so that the LP value lies in [1, M]: the simplex's entering
-    # tolerance (1e-10) is absolute, so at smaller values pricing could end
-    # about 1e-9 relative above the optimum, with prices too far off to
-    # name the optimal basis in solve_relaxed
-    times = times * (m / times.min(axis=1).sum())
     prices = np.full(m, 1.0 / m)
     loads = _argmin_loads(times, prices)
     # columns: mu, the M load-row slacks, then one w_k per load vector;
@@ -137,20 +138,25 @@ def solve_relaxed(times):
     """Optimal fractional association for the given service-time matrix.
 
     Returns (frac, mu): an (N, M) row-stochastic matrix in [0, 1] and the
-    LP objective value. The simplex starts from the basis that the dual
-    prices give by complementary slackness: mu, each row's pair (i, j)
-    of least priced time lambda_j t_ij, the slack of each unpriced load
-    row, and as many other pairs as a basis has room for (M - 1 less the
-    unpriced rows), those of least gap to their row minimum relative to
-    it. A count rather than a tolerance decides the ties, so prices that
-    are slightly off still name the basis. At a nondegenerate optimum that
-    basis is optimal and the call only certifies it; otherwise the simplex
-    pivots on, or starts from scratch when the basis is unusable.
+    LP objective value. The LP is solved on the times scaled to a value
+    in [1, M]. Phase 2 starts from the basis that the dual prices give by
+    complementary slackness: mu, each row's pair (i, j) of least priced
+    time lambda_j t_ij, the slack of each unpriced load row, and as many
+    other pairs as a basis has room for (M - 1 less the unpriced rows),
+    those of least gap to their row minimum relative to it. A count
+    rather than a tolerance decides the ties, so prices that are slightly
+    off still name the basis. Where that basis is unusable (singular or
+    infeasible, as on co-located UEs), phase 2 starts instead from the
+    vertex with each UE on its fastest UAV, mu at the top load and the
+    other load rows' slacks basic. Its loads sum to M, so its condition
+    number is at most (M + 2)(2M + 2) and ``basis_start`` accepts it.
     """
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)) or np.any(times <= 0):
         raise ValueError("service times must be finite and positive")
     n, m = times.shape
+    scale = m / times.min(axis=1).sum()
+    times = times * scale
     prices = dual_prices(times)
     priced = times * prices
     rows = np.arange(n)
@@ -166,12 +172,15 @@ def solve_relaxed(times):
     basis = np.concatenate([[n * m],
                             np.sort(np.concatenate([rows * m + best, split])),
                             n * m + 1 + unpriced])
-    res = solve_lp(relaxed_lp(times), basis=basis)
+    top = np.argmax(_argmin_loads(times, np.ones(m)))
+    vertex = np.concatenate([[n * m], rows * m + np.argmin(times, axis=1),
+                             n * m + 1 + np.delete(np.arange(m), top)])
+    res = solve_lp(relaxed_lp(times), bases=(basis, vertex))
     if res.status is not Status.OPTIMAL:
         raise AssociationError(f"association LP failed: {res.status.value}")
     frac = res.x[:n * m].reshape(n, m)
     frac = np.clip(frac, 0.0, 1.0)
-    return frac, float(res.objective)
+    return frac, float(res.objective) / scale
 
 
 def round_association(frac):

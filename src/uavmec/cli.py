@@ -317,27 +317,6 @@ def _verify_checks(level):
     yield ("coefficient-finite-difference", max_err <= 1e-6,
            f"max rel error {max_err:.3e}")
 
-    # convexity of the exact sine constraint v - h / sqrt(a3 + h^2):
-    # its Hessian in (v, h) is diag(0, 3 a3 h / (a3 + h^2)^2.5); check the
-    # eigenvalues and cross-validate the curvature entry by differences
-    rng = np.random.default_rng(1)
-    min_eig = np.inf
-    max_fd_err = 0.0
-    for _ in range(1000 if level == "full" else 200):
-        h = rng.uniform(40.0, 80.0)
-        a3 = rng.uniform(0.0, 2e4)
-        hess = np.array([[0.0, 0.0],
-                         [0.0, 3.0 * a3 * h / (a3 + h ** 2) ** 2.5]])
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(hess).min()))
-        eps = 0.05
-        def g(hh):
-            return -hh / np.sqrt(a3 + hh ** 2)
-        d2 = (g(h + eps) - 2 * g(h) + g(h - eps)) / eps ** 2
-        max_fd_err = max(max_fd_err, abs(d2 - hess[1, 1]))
-    yield ("sine-constraint-convexity",
-           min_eig >= -1e-12 and max_fd_err <= 1e-9,
-           f"min eigenvalue {min_eig:.3e}, curvature fd error {max_fd_err:.3e}")
-
     # small-instance grid comparison
     sc = scenario_mod.generate(5, 3, FleetConfig(num_uavs=2))
     grid = oracle.GridSpec(2.0, 1.0) if level == "fast" \

@@ -1,6 +1,8 @@
-"""Revised two-phase simplex for small/medium LPs.
+"""Phase-2 revised simplex for LPs with a known feasible basis.
 
-Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
+Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0,  starting
+from a basic feasible solution that the caller names (``solve_lp(lp,
+bases=...)``, checked by ``basis_start``); there is no phase 1.
 
 The simplex state is the basis, B^-1 and x_B (``Simplex``): each pivot
 prices the original columns with the multipliers c_B B^-1, forms only
@@ -9,9 +11,7 @@ Dantzig's rule with lowest-index tie-breaks, switching permanently to
 Bland's rule after a run of degenerate pivots, so the method is
 deterministic and cannot cycle. An optimal return carries the dual point
 of the final basis, factored afresh from its original columns; the
-reported kkt_residual is the primal-dual objective gap. A caller that
-knows a feasible basis can start phase 2 from it (``solve_lp(lp,
-basis=...)``, built by ``basis_start``), skipping phase 1.
+reported kkt_residual is the primal-dual objective gap.
 """
 
 from __future__ import annotations
@@ -173,92 +173,56 @@ def basis_start(a, b, basis):
     return Simplex(a, binv, np.maximum(xb, 0.0), basis.copy())
 
 
-def solve_lp(lp: LinearProgram, basis=None) -> SolveStatus:
-    """Minimize ``lp`` over x >= 0 with the two-phase simplex.
+def equality_form(lp: LinearProgram):
+    """(a, b) of ``lp`` as  a y = b, y >= 0, over the columns
+    [x | slacks of the a_ub rows], a_ub rows first."""
+    n, m_ub = lp.c.size, lp.b_ub.size
+    a = np.zeros((m_ub + lp.b_eq.size, n + m_ub))
+    a[:m_ub, :n] = lp.a_ub
+    a[:m_ub, n:] = np.eye(m_ub)
+    a[m_ub:, :n] = lp.a_eq
+    return a, np.concatenate([lp.b_ub, lp.b_eq])
 
-    ``basis`` optionally names a starting basis: one index per row (a_ub
-    rows first) into the columns [x | slacks of the a_ub rows]. If
-    ``basis_start`` accepts it, phase 2 pivots from there; otherwise the
-    two-phase method runs from scratch, as without it.
 
-    Both phases together take at most 200 pivots per row and column of
-    the equality form; an optimum whose primal-dual gap exceeds 1e-7
-    (relative to max(1, |objective|)) is reported as a numerical failure.
+def solve_lp(lp: LinearProgram, bases) -> SolveStatus:
+    """Minimize ``lp`` over x >= 0 by phase 2 from a known feasible basis.
+
+    ``bases`` names starting bases in order of preference, each one index
+    per row (a_ub rows first) into the columns of ``equality_form``. The
+    simplex pivots from the first that ``basis_start`` accepts; if it
+    accepts none, the result is a numerical failure.
+
+    Phase 2 takes at most 200 pivots per row and column of the equality
+    form; an optimum whose primal-dual gap exceeds 1e-7 (relative to
+    max(1, |objective|)) is reported as a numerical failure.
     """
-    c, a_ub, b_ub, a_eq, b_eq = lp.c, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq
-    n = c.size
-    m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
-    m = m_ub + m_eq
-
-    # equality form with slack columns for the <= rows
-    a = np.zeros((m, n + m_ub))
-    a[:m_ub, :n] = a_ub
-    a[:m_ub, n:n + m_ub] = np.eye(m_ub)
-    a[m_ub:, :n] = a_eq
-    b = np.concatenate([b_ub, b_eq])
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-
-    n_cols = n + m_ub
-    sim = None if basis is None else basis_start(a, b, basis)
-    if sim is not None:
-        max_iter = 200 * (m + n_cols)
+    a, b = equality_form(lp)
+    for basis in bases:
+        sim = basis_start(a, b, basis)
+        if sim is not None:
+            break
     else:
-        # initial basis: slack columns where usable, artificials elsewhere;
-        # either way a unit matrix, so B^-1 = I and x_B = b
-        art_rows = np.flatnonzero(neg | (np.arange(m) >= m_ub))
-        start = n + np.arange(m)
-        start[art_rows] = n_cols + np.arange(art_rows.size)
-        a = np.hstack([a, np.eye(m)[:, art_rows]])
-        sim = Simplex(a, np.eye(m), b.copy(), start)
-        max_iter = 200 * (m + a.shape[1])
-
-        if art_rows.size:
-            c1 = np.zeros(a.shape[1])
-            c1[n_cols:] = 1.0
-            st = sim.run(c1, max_iter)
-            if st is Status.ITER_LIMIT:
-                return SolveStatus(Status.ITER_LIMIT,
-                                   iterations=sim.iterations)
-            phase1_obj = float(c1[sim.basis] @ sim.xb)
-            if phase1_obj > 1e-7:
-                return SolveStatus(Status.INFEASIBLE,
-                                   iterations=sim.iterations)
-            # drive remaining artificials out of the basis where possible
-            for i in range(m):
-                if sim.basis[i] >= n_cols:
-                    row = sim.binv[i] @ a[:, :n_cols]
-                    j = int(np.argmax(np.abs(row)))
-                    if abs(row[j]) > 1e-9:
-                        sim.pivot(i, j, sim.binv @ a[:, j])
-            # freeze artificials at zero; a keeps them for the gap check
-            sim.a = a.copy()
-            sim.a[:, n_cols:] = 0.0
-
-    c2 = np.zeros(a.shape[1])
-    c2[:n] = c
-    st = sim.run(c2, max_iter)
-    if st is Status.ITER_LIMIT:
-        return SolveStatus(Status.ITER_LIMIT, iterations=sim.iterations)
-    if st is Status.UNBOUNDED:
-        return SolveStatus(Status.UNBOUNDED, iterations=sim.iterations)
+        return SolveStatus(Status.NUMERICAL_FAILURE)
+    c = np.zeros(a.shape[1])
+    c[:lp.c.size] = lp.c
+    st = sim.run(c, 200 * sum(a.shape))
+    if st is not Status.OPTIMAL:
+        return SolveStatus(st, iterations=sim.iterations)
 
     y = np.zeros(a.shape[1])
     y[sim.basis] = sim.xb
-    x = y[:n]
-    primal = float(c @ x)
+    x = y[:lp.c.size]
+    primal = float(lp.c @ x)
     # dual point from the final basis of the original equality-form system,
     # factored afresh rather than read off the B^-1 the pivots maintained:
     # solve B^T pi = c_B, dual objective = pi . b
     try:
-        pi = np.linalg.solve(a[:, sim.basis].T, c2[sim.basis])
+        pi = np.linalg.solve(a[:, sim.basis].T, c[sim.basis])
         dual = float(pi @ b)
     except np.linalg.LinAlgError:
         return SolveStatus(Status.NUMERICAL_FAILURE, objective=primal, x=x,
                            iterations=sim.iterations)
-    scale = max(1.0, abs(primal))
-    kkt = abs(primal - dual) / scale
+    kkt = abs(primal - dual) / max(1.0, abs(primal))
     return SolveStatus(Status.OPTIMAL if kkt <= 1e-7
                        else Status.NUMERICAL_FAILURE, objective=primal, x=x,
                        kkt_residual=kkt, iterations=sim.iterations,

@@ -62,8 +62,11 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
-        if not 0 < self.rel_tol < np.inf:
-            raise ValueError("rel_tol must be finite and > 0")
+        if (isinstance(self.rel_tol, bool)
+                or not isinstance(self.rel_tol, numbers.Real)
+                or not 0 < self.rel_tol < np.inf):
+            raise ValueError(f"rel_tol must be a finite number > 0, "
+                             f"got {self.rel_tol!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 

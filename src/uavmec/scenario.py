@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,12 @@ DEFAULT_CPU_HZ = 2e9
 
 class ScenarioError(ValueError):
     """Raised for invalid scenario files or invariant violations."""
+
+
+def _check_count(value, name):
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise ScenarioError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +92,7 @@ class FleetConfig:
     box: Box = field(default_factory=Box)
 
     def __post_init__(self):
-        if not self.num_uavs >= 1:
-            raise ScenarioError("num_uavs must be >= 1")
+        _check_count(self.num_uavs, "num_uavs")
         if not self.cpu_hz > 0:
             raise ScenarioError("cpu_hz must be > 0")
 
@@ -160,8 +166,7 @@ def generate(seed, n_ues, fleet: FleetConfig | None = None,
              task_spec: TaskSpec | None = None) -> Scenario:
     """Draw a scenario: UE positions i.i.d. uniform over the horizontal box,
     task sizes per task_spec, cycles = cycles_per_bit * data_bits."""
-    if n_ues < 1:
-        raise ScenarioError("n_ues must be >= 1")
+    _check_count(n_ues, "n_ues")
     fleet = fleet or FleetConfig()
     channel = channel or ChannelParams()
     task_spec = task_spec or TaskSpec()

@@ -1,18 +1,86 @@
 """Reference implementations of the association step, kept for tests to
-compare the product path against: the relaxed LP solved cold by the
-two-phase simplex on the full program, and rounding by a per-row loop."""
+compare the product path against: the two-phase simplex, which needs no
+starting basis; the relaxed LP solved cold by it on the full program; and
+rounding by a per-row loop."""
 
 import numpy as np
 
 from uavmec import association
-from uavmec.lp import Status, solve_lp
+from uavmec.lp import Simplex, SolveStatus, Status, equality_form
+
+
+def two_phase(lp):
+    """Minimize ``lp`` over x >= 0 with the two-phase simplex from scratch.
+
+    Phase 1 minimizes the sum of artificial columns on the rows whose
+    slack cannot start the basis; phase 2 then runs from the basis it
+    ends at, with leftover artificials frozen at zero. Both phases share
+    ``lp.Simplex`` and the pivot limit and gap check of ``lp.solve_lp``.
+    """
+    c = lp.c
+    n, m_ub = c.size, lp.b_ub.size
+    a, b = equality_form(lp)
+    m, n_cols = a.shape
+    neg = b < 0
+    a[neg] *= -1.0
+    b[neg] *= -1.0
+
+    # initial basis: slack columns where usable, artificials elsewhere;
+    # either way a unit matrix, so B^-1 = I and x_B = b
+    art_rows = np.flatnonzero(neg | (np.arange(m) >= m_ub))
+    start = n + np.arange(m)
+    start[art_rows] = n_cols + np.arange(art_rows.size)
+    a = np.hstack([a, np.eye(m)[:, art_rows]])
+    sim = Simplex(a, np.eye(m), b.copy(), start)
+    max_iter = 200 * (m + a.shape[1])
+
+    if art_rows.size:
+        c1 = np.zeros(a.shape[1])
+        c1[n_cols:] = 1.0
+        st = sim.run(c1, max_iter)
+        if st is Status.ITER_LIMIT:
+            return SolveStatus(Status.ITER_LIMIT, iterations=sim.iterations)
+        if float(c1[sim.basis] @ sim.xb) > 1e-7:
+            return SolveStatus(Status.INFEASIBLE, iterations=sim.iterations)
+        # drive remaining artificials out of the basis where possible
+        for i in range(m):
+            if sim.basis[i] >= n_cols:
+                row = sim.binv[i] @ a[:, :n_cols]
+                j = int(np.argmax(np.abs(row)))
+                if abs(row[j]) > 1e-9:
+                    sim.pivot(i, j, sim.binv @ a[:, j])
+        # freeze artificials at zero; a keeps them for the gap check
+        sim.a = a.copy()
+        sim.a[:, n_cols:] = 0.0
+
+    c2 = np.zeros(a.shape[1])
+    c2[:n] = c
+    st = sim.run(c2, max_iter)
+    if st is not Status.OPTIMAL:
+        return SolveStatus(st, iterations=sim.iterations)
+    y = np.zeros(a.shape[1])
+    y[sim.basis] = sim.xb
+    x = y[:n]
+    primal = float(c @ x)
+    try:
+        pi = np.linalg.solve(a[:, sim.basis].T, c2[sim.basis])
+        dual = float(pi @ b)
+    except np.linalg.LinAlgError:
+        return SolveStatus(Status.NUMERICAL_FAILURE, objective=primal, x=x,
+                           iterations=sim.iterations)
+    kkt = abs(primal - dual) / max(1.0, abs(primal))
+    return SolveStatus(Status.OPTIMAL if kkt <= 1e-7
+                       else Status.NUMERICAL_FAILURE, objective=primal, x=x,
+                       kkt_residual=kkt, iterations=sim.iterations,
+                       dual_objective=dual)
 
 
 def cold_relaxed(times):
-    """``association.solve_relaxed`` without a starting basis."""
+    """``association.solve_relaxed`` by the two-phase simplex on the
+    unscaled LP, without a starting basis."""
     times = np.asarray(times, dtype=float)
     n, m = times.shape
-    res = solve_lp(association.relaxed_lp(times))
+    res = two_phase(association.relaxed_lp(times))
     if res.status is not Status.OPTIMAL:
         raise association.AssociationError(res.status.value)
     return np.clip(res.x[:n * m].reshape(n, m), 0.0, 1.0), float(res.objective)

@@ -11,8 +11,8 @@ from scipy.optimize import linprog
 
 from association_reference import cold_relaxed, round_rows
 from uavmec import association, channel, oracle
-from uavmec.lp import solve_lp
-from uavmec.optimizer import Deployment
+from uavmec.lp import Status, basis_start, equality_form, solve_lp
+from uavmec.optimizer import Deployment, kmeans
 from uavmec.scenario import FleetConfig, Scenario, Ue, generate
 from uavmec.channel import ChannelParams
 
@@ -97,8 +97,60 @@ def log_uniform_times(n, m, seed, lo=1e-3, hi=1e3):
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size=(n, m)))
 
 
+def highs(times):
+    """The relaxed LP solved by HiGHS, an LP solver that shares no code
+    with the product, with feasibility tolerances tighter than its 1e-7
+    defaults, at which it can stop 4e-9 relative above the optimum."""
+    prog = association.relaxed_lp(times)
+    ref = linprog(prog.c, A_ub=prog.a_ub, b_ub=prog.b_ub, A_eq=prog.a_eq,
+                  b_eq=prog.b_eq, method="highs",
+                  options=dict(primal_feasibility_tolerance=1e-10,
+                               dual_feasibility_tolerance=1e-10))
+    assert ref.status == 0
+    return ref
+
+
+def colocated_times(seed, n_ues, m, copies):
+    """Service times of a generated scenario at its k-means deployment
+    (altitude 60 m), each UE's row repeated ``copies`` times."""
+    sc = generate(seed, n_ues, FleetConfig(num_uavs=m))
+    dep = Deployment(q=kmeans(sc.positions, m, seed=seed)[0],
+                     h=np.full(m, 60.0))
+    return np.repeat(association.service_time_matrix(sc, dep), copies, axis=0)
+
+
+def captured_lps(times):
+    """(frac, mu) of ``solve_relaxed(times)`` and the (program, bases,
+    result) of each ``solve_lp`` call it made."""
+    calls = []
+
+    def spy(prog, bases):
+        res = solve_lp(prog, bases=bases)
+        calls.append((prog, bases, res))
+        return res
+
+    with mock.patch.object(association, "solve_lp", spy):
+        return association.solve_relaxed(times), calls
+
+
+class _Arguments(Exception):
+    """Carries the arguments of a ``solve_lp`` call out of the caller."""
+
+
+def lp_arguments(times):
+    """The (program, bases) that ``solve_relaxed(times)`` passes to
+    ``solve_lp``, taken before the simplex runs."""
+    def stop(prog, bases):
+        raise _Arguments(prog, bases)
+
+    with mock.patch.object(association, "solve_lp", stop), \
+            pytest.raises(_Arguments) as caught:
+        association.solve_relaxed(times)
+    return caught.value.args
+
+
 def assert_lp_optimum(times, frac, mu, ref_mu):
-    """Row-stochastic, every load <= mu, and mu equal to the cold simplex's
+    """Row-stochastic, every load <= mu, and mu equal to the reference
     ref_mu."""
     assert frac.sum(axis=1) == pytest.approx(np.ones(len(times)), abs=1e-9)
     assert np.all(frac >= 0)
@@ -114,22 +166,14 @@ class TestPricedStart:
     @settings(max_examples=60, deadline=None)
     def test_matches_cold_simplex(self, n, m, seed):
         times = log_uniform_times(n, m, seed)
-        pivots = []
-
-        def spy(prog, basis=None):
-            res = solve_lp(prog, basis=basis)
-            pivots.append(res.iterations)
-            return res
-
-        with mock.patch.object(association, "solve_lp", spy):
-            frac, mu = association.solve_relaxed(times)
+        (frac, mu), calls = captured_lps(times)
         ref_frac, ref_mu = cold_relaxed(times)
         assert_lp_optimum(times, frac, mu, ref_mu)
         # random draws are generic: the optimal vertex is unique, so the
         # rounding agrees, and the priced basis is already optimal
         assert np.array_equal(association.round_association(frac),
                               association.round_association(ref_frac))
-        assert pivots == [0]
+        assert [res.iterations for _, _, res in calls] == [0]
 
     @given(st.integers(1, 60), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -145,16 +189,8 @@ class TestPricedStart:
     @given(st.integers(1, 60), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_matches_highs(self, n, m, seed):
-        # an LP solver that shares no code with the product: HiGHS, with
-        # feasibility tolerances tighter than its 1e-7 defaults, at which
-        # it can stop 4e-9 relative above the optimum on these times
         times = log_uniform_times(n, m, seed)
-        prog = association.relaxed_lp(times)
-        ref = linprog(prog.c, A_ub=prog.a_ub, b_ub=prog.b_ub, A_eq=prog.a_eq,
-                      b_eq=prog.b_eq, method="highs",
-                      options=dict(primal_feasibility_tolerance=1e-10,
-                                   dual_feasibility_tolerance=1e-10))
-        assert ref.status == 0
+        ref = highs(times)
         assert association.solve_relaxed(times)[1] == pytest.approx(
             ref.fun, rel=1e-9)
         # with M <= N a random draw has one optimal dual point; the load
@@ -177,8 +213,51 @@ class TestPricedStart:
             "single-ue", "single-uav", "one-by-one", "nine-orders",
             "nine-orders-blocks"])
     def test_degenerate_inputs(self, times):
+        # against HiGHS: on nine-orders-blocks the cold simplex stops 4.7e-8
+        # relative above the optimum, (4e-4 + 3e-13) / (1 + 1e-4 + 1e-9),
+        # which both the product and HiGHS reach to the last bit
         frac, mu = association.solve_relaxed(times)
-        assert_lp_optimum(times, frac, mu, cold_relaxed(times)[1])
+        assert_lp_optimum(times, frac, mu, highs(times).fun)
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_colocated_small_times_match_highs(self, seed):
+        # at service times of microseconds, absolute simplex tolerances on
+        # the unscaled LP stopped 2.4e-6 (seed 2) and 3.7e-5 (seed 3)
+        # relative above the optimum
+        times = colocated_times(seed, 10, 5, 5) * 1e-6
+        assert association.solve_relaxed(times)[1] == pytest.approx(
+            highs(times).fun, rel=1e-12)
+
+    def test_colocated_starts_from_the_fastest_vertex(self):
+        # co-located UEs leave the priced basis singular: solve_lp skips it
+        # and runs phase 2 from the fastest-UAV vertex
+        times = colocated_times(3, 10, 5, 5)
+        (frac, mu), calls = captured_lps(times)
+        [(prog, bases, res)] = calls
+        a, b = equality_form(prog)
+        assert basis_start(a, b, bases[0]) is None
+        assert basis_start(a, b, bases[1]) is not None
+        assert res.status is Status.OPTIMAL and res.iterations > 0
+        assert_lp_optimum(times, frac, mu, highs(times).fun)
+
+    @given(st.integers(1, 40), st.integers(1, 10), st.integers(1, 8),
+           st.floats(0.0, 18.0), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_fastest_vertex_is_always_accepted(self, n, m, copies, orders,
+                                               seed):
+        # log-uniform times over up to 18 orders of magnitude, in blocks
+        # of co-located UEs; the vertex's infinity-norm condition number
+        # stays within (M + 2)(2M + 2), far below basis_start's 1e12
+        rng = np.random.default_rng(seed)
+        times = np.repeat(10.0 ** rng.uniform(-orders / 2, orders / 2,
+                                              size=(n, m)), copies, axis=0)
+        prog, (_, vertex) = lp_arguments(times)
+        a, b = equality_form(prog)
+        sim = basis_start(a, b, vertex)
+        assert sim is not None
+        cond = (np.abs(a[:, vertex]).sum(axis=1).max()
+                * np.abs(sim.binv).sum(axis=1).max())
+        assert cond <= (m + 2) * (2 * m + 2) * (1 + 1e-9)
 
     def test_relaxed_lp_layout(self):
         times = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])

@@ -279,7 +279,7 @@ class TestVerify:
         assert cli.main(["verify", "--level", "fast"]) == 0
         out = capsys.readouterr().out
         lines = [ln for ln in out.splitlines() if ln]
-        assert len(lines) == 4
+        assert len(lines) == 3
         assert all(ln.startswith("PASS") for ln in lines)
 
 

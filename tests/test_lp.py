@@ -1,47 +1,61 @@
-"""Simplex solver: hand-checkable programs, status reporting, duality,
-and agreement with an independent LP solver on random instances."""
+"""Simplex solver: hand-checkable programs from a starting basis, status
+reporting, duality, and agreement of the two-phase reference with an
+independent LP solver on random instances."""
+
+from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from uavmec.lp import LinearProgram, Status, solve_lp
+from association_reference import two_phase
+from uavmec.lp import (LinearProgram, Status, basis_start, equality_form,
+                       solve_lp)
 
 
 def test_basic_inequality():
     # min -x - y  s.t.  x + y <= 1, x, y >= 0  ->  objective -1
-    res = solve_lp(LinearProgram(c=[-1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0]))
+    res = solve_lp(LinearProgram(c=[-1.0, -1.0], a_ub=[[1.0, 1.0]],
+                                 b_ub=[1.0]), bases=([2],))
     assert res.status is Status.OPTIMAL
     assert res.objective == pytest.approx(-1.0, abs=1e-9)
     assert res.x[0] + res.x[1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_equality_constraint():
-    # min x  s.t.  x + y = 1, y <= 0.3  ->  x = 0.7
+    # min x  s.t.  x + y = 1, y <= 0.3  ->  x = 0.7, from (x, slack) =
+    # (1, 0.3)
     res = solve_lp(LinearProgram(c=[1.0, 0.0], a_ub=[[0.0, 1.0]], b_ub=[0.3],
-                                 a_eq=[[1.0, 1.0]], b_eq=[1.0]))
+                                 a_eq=[[1.0, 1.0]], b_eq=[1.0]),
+                   bases=([2, 0],))
     assert res.status is Status.OPTIMAL
     assert res.objective == pytest.approx(0.7, abs=1e-9)
 
 
 def test_infeasible_detected():
-    # x <= -1 contradicts x >= 0
-    res = solve_lp(LinearProgram(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0]))
-    assert res.status is Status.INFEASIBLE
+    # x <= -1 contradicts x >= 0: phase 1 of the reference finds no
+    # feasible point, and no basis of solve_lp is feasible
+    prog = LinearProgram(c=[1.0], a_ub=[[1.0]], b_ub=[-1.0])
+    assert two_phase(prog).status is Status.INFEASIBLE
+    res = solve_lp(prog, bases=([0], [1]))
+    assert res.status is Status.NUMERICAL_FAILURE and res.x is None
 
 
 def test_unbounded_detected():
-    res = solve_lp(LinearProgram(c=[-1.0]))
-    assert res.status is Status.UNBOUNDED
+    # min -x  s.t.  -x <= 1: x enters at the slack basis, and no row
+    # limits it
+    prog = LinearProgram(c=[-1.0], a_ub=[[-1.0]], b_ub=[1.0])
+    assert solve_lp(prog, bases=([1],)).status is Status.UNBOUNDED
+    assert two_phase(LinearProgram(c=[-1.0])).status is Status.UNBOUNDED
 
 
 def test_minmax_split_program():
     # min mu  s.t.  a1 + a2 = 1, 2 a1 <= mu, a2 <= mu: balance at
-    # a = (1/3, 2/3), mu = 2/3
+    # a = (1/3, 2/3), mu = 2/3; from a1 = 1, mu = 2 and the second slack
     res = solve_lp(LinearProgram(
         c=[0.0, 0.0, 1.0],
         a_ub=[[2.0, 0.0, -1.0], [0.0, 1.0, -1.0]], b_ub=[0.0, 0.0],
-        a_eq=[[1.0, 1.0, 0.0]], b_eq=[1.0]))
+        a_eq=[[1.0, 1.0, 0.0]], b_eq=[1.0]), bases=([2, 4, 0],))
     assert res.status is Status.OPTIMAL
     assert res.objective == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert res.x[0] == pytest.approx(1.0 / 3.0, abs=1e-9)
@@ -55,7 +69,7 @@ def test_degenerate_program_terminates():
         a_ub=[[0.25, -60.0, -1.0 / 25.0, 9.0],
               [0.5, -90.0, -1.0 / 50.0, 3.0],
               [0.0, 0.0, 1.0, 0.0]],
-        b_ub=[0.0, 0.0, 1.0]))
+        b_ub=[0.0, 0.0, 1.0]), bases=([4, 5, 6],))
     assert res.status is Status.OPTIMAL
     assert res.objective == pytest.approx(-0.05, abs=1e-9)
 
@@ -63,7 +77,7 @@ def test_degenerate_program_terminates():
 def test_dual_certificate_reported():
     res = solve_lp(LinearProgram(c=[-1.0, -2.0],
                                  a_ub=[[1.0, 1.0], [1.0, 3.0]],
-                                 b_ub=[4.0, 6.0]))
+                                 b_ub=[4.0, 6.0]), bases=([2, 3],))
     assert res.status is Status.OPTIMAL
     assert np.isfinite(res.dual_objective)
     assert abs(res.objective - res.dual_objective) <= 1e-7 * max(
@@ -89,8 +103,8 @@ def test_matches_reference_solver_on_random_lps(seed):
     b_ub = a_ub @ np.ones(n) + rng.uniform(0.1, 2.0, size=m)
     hi = rng.uniform(2.0, 6.0, size=n)
     # x <= hi as identity rows of a_ub
-    res = solve_lp(LinearProgram(c=c, a_ub=np.vstack([a_ub, np.eye(n)]),
-                                 b_ub=np.concatenate([b_ub, hi])))
+    res = two_phase(LinearProgram(c=c, a_ub=np.vstack([a_ub, np.eye(n)]),
+                                  b_ub=np.concatenate([b_ub, hi])))
     ref = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=list(zip(np.zeros(n), hi)),
                   method="highs")
     assert ref.status == 0
@@ -110,8 +124,8 @@ def test_matches_reference_solver_with_equalities(seed):
     a_eq = rng.normal(size=(1, n))
     x_feas = rng.uniform(0.5, 1.5, size=n)
     b_eq = a_eq @ x_feas
-    res = solve_lp(LinearProgram(c=c, a_ub=np.eye(n), b_ub=np.full(n, 5.0),
-                                 a_eq=a_eq, b_eq=b_eq))
+    res = two_phase(LinearProgram(c=c, a_ub=np.eye(n), b_ub=np.full(n, 5.0),
+                                  a_eq=a_eq, b_eq=b_eq))
     ref = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, 5.0)] * n,
                   method="highs")
     assert ref.status == 0
@@ -128,10 +142,19 @@ MINMAX = dict(c=[0.0, 0.0, 1.0], a_ub=[[2.0, 0.0, -1.0], [0.0, 1.0, -1.0]],
 CERT = dict(c=[-1.0, -2.0], a_ub=[[1.0, 1.0], [1.0, 3.0]], b_ub=[4.0, 6.0])
 
 
+def feasible_basis(prog):
+    """The first basis in lexicographic order that ``basis_start``
+    accepts, or None."""
+    a, b = equality_form(prog)
+    return next((list(basis) for basis in combinations(range(a.shape[1]),
+                                                       a.shape[0])
+                 if basis_start(a, b, basis) is not None), None)
+
+
 class TestStartingBasis:
     def test_optimal_basis_needs_no_pivot(self):
-        cold = solve_lp(LinearProgram(**MINMAX))
-        warm = solve_lp(LinearProgram(**MINMAX), basis=[0, 1, 2])
+        cold = two_phase(LinearProgram(**MINMAX))
+        warm = solve_lp(LinearProgram(**MINMAX), bases=([0, 1, 2],))
         assert warm.status is Status.OPTIMAL
         assert warm.iterations == 0 < cold.iterations
         assert warm.objective == pytest.approx(cold.objective, abs=1e-15)
@@ -141,8 +164,8 @@ class TestStartingBasis:
     def test_feasible_basis_pivots_to_the_optimum(self):
         # basis (x, slack 2) is the vertex (4, 0) with objective -4; the
         # optimum is (3, 1) with objective -5
-        cold = solve_lp(LinearProgram(**CERT))
-        warm = solve_lp(LinearProgram(**CERT), basis=[0, 3])
+        cold = two_phase(LinearProgram(**CERT))
+        warm = solve_lp(LinearProgram(**CERT), bases=([0, 3],))
         assert warm.status is Status.OPTIMAL
         assert warm.iterations == 1
         assert warm.objective == pytest.approx(-5.0, abs=1e-12)
@@ -165,13 +188,23 @@ class TestStartingBasis:
         (dict(c=[-1.0]), []),          # unbounded, no rows
     ])
     def test_unusable_basis_gives_the_cold_result(self, program, basis):
-        cold = solve_lp(LinearProgram(**program))
-        warm = solve_lp(LinearProgram(**program), basis=basis)
-        assert warm.status is cold.status
-        assert warm.iterations == cold.iterations
-        assert (warm.objective == cold.objective
-                or np.isnan(warm.objective) and np.isnan(cold.objective))
-        if cold.x is None:
-            assert warm.x is None
-        else:
-            assert np.array_equal(warm.x, cold.x)
+        # solve_lp skips the unusable basis and runs phase 2 from the next
+        # one, reaching the optimum of the cold two-phase reference; with
+        # no feasible basis left it fails, and the reference finds no
+        # optimum either
+        prog = LinearProgram(**program)
+        cold = two_phase(prog)
+        alone = solve_lp(prog, bases=(basis,))
+        assert alone.status is Status.NUMERICAL_FAILURE
+        assert alone.iterations == 0 and alone.x is None
+        start = feasible_basis(prog)
+        if start is None:
+            assert cold.status in (Status.INFEASIBLE, Status.UNBOUNDED)
+            return
+        warm = solve_lp(prog, bases=(basis, start))
+        ref = solve_lp(prog, bases=(start,))
+        assert warm.status is ref.status is cold.status is Status.OPTIMAL
+        assert warm.iterations == ref.iterations
+        assert np.array_equal(warm.x, ref.x)
+        assert warm.objective == ref.objective == pytest.approx(
+            cold.objective, abs=1e-12)

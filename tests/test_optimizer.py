@@ -9,7 +9,7 @@ import pytest
 
 from association_reference import cold_relaxed
 from uavmec import association, channel, oracle, placement
-from uavmec.lp import solve_lp
+from uavmec.lp import basis_start, equality_form, solve_lp
 from uavmec.optimizer import (Deployment, OptimizerConfig, completion_time,
                               kmeans, solve, solve_clbo, solve_hpo,
                               solve_proposed, solve_vpo)
@@ -114,6 +114,9 @@ class TestConfig:
         dict(max_outer_iters=True),
         dict(seed=False),
         dict(seed="1"),
+        dict(rel_tol=True),
+        dict(rel_tol="0.1"),
+        dict(rel_tol=None),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -340,11 +343,13 @@ class TestPricedAssociation:
         # about 1e-9 relative above the LP optimum: the priced basis then
         # missed tied pairs and the certifying call solved from scratch
         # (over 1100 pivots); on 1878861697 a pair 8.8e-9 relative above
-        # its row minimum missed a 1e-9 tie tolerance the same way
+        # its row minimum missed a 1e-9 tie tolerance the same way; the
+        # priced basis, tried first, must be the one phase 2 starts from
         pivots = []
 
-        def spy(prog, basis=None):
-            res = solve_lp(prog, basis=basis)
+        def spy(prog, bases):
+            assert basis_start(*equality_form(prog), bases[0]) is not None
+            res = solve_lp(prog, bases=bases)
             pivots.append(res.iterations)
             return res
 

@@ -45,6 +45,13 @@ class TestGenerate:
         with pytest.raises(ScenarioError):
             generate(0, 0)
 
+    def test_fractional_ue_count_rejected(self):
+        with pytest.raises(ScenarioError, match="n_ues"):
+            generate(0, 2.5)
+
+    def test_numpy_ue_count_accepted(self):
+        assert generate(0, np.int64(3)).n_ues == 3
+
 
 class TestValidation:
     def test_box_requires_positive_altitude(self):
@@ -72,6 +79,14 @@ class TestValidation:
     def test_fleet_requires_uavs(self):
         with pytest.raises(ScenarioError):
             FleetConfig(num_uavs=0)
+
+    def test_fleet_rejects_bool_uav_count(self):
+        with pytest.raises(ScenarioError, match="num_uavs"):
+            FleetConfig(num_uavs=True)
+
+    def test_fleet_rejects_fractional_uav_count(self):
+        with pytest.raises(ScenarioError, match="num_uavs"):
+            FleetConfig(num_uavs=2.5)
 
 
 class TestSerialization:
