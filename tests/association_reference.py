@@ -14,8 +14,8 @@ def two_phase(lp):
 
     Phase 1 minimizes the sum of artificial columns on the rows whose
     slack cannot start the basis; phase 2 then runs from the basis it
-    ends at, with leftover artificials frozen at zero. Both phases share
-    ``lp.Simplex`` and the pivot limit and gap check of ``lp.solve_lp``.
+    ends at, with leftover artificials frozen at zero. Both phases run on
+    ``lp.Simplex``, with the pivot limit and gap check of ``lp.solve_lp``.
     """
     c = lp.c
     n, m_ub = c.size, lp.b_ub.size
