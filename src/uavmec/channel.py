@@ -58,38 +58,35 @@ def _logistic_factor(v, params: ChannelParams):
     return params.k1 + params.k2 / (1.0 + np.exp(-(params.k3 + params.k4 * v)))
 
 
+def _link_rate(horiz_dist_sq, h, v, tx_power_w, params: ChannelParams):
+    """Shannon rate of the link budget shared by both models: the angle
+    factor at elevation sine v, or 1.0 (pure line of sight) for v=None."""
+    arrays = {}
+    for name, value in (("horiz_dist_sq", horiz_dist_sq), ("h", h), ("v", v),
+                        ("tx_power_w", tx_power_w)):
+        if value is not None:
+            arrays[name] = np.asarray(value, dtype=float)
+            if not np.all(np.isfinite(arrays[name])):
+                raise ValueError(f"non-finite {name}")
+    factor = 1.0 if v is None else _logistic_factor(arrays["v"], params)
+    dist_sq = arrays["horiz_dist_sq"] + arrays["h"] ** 2
+    snr = factor * params.gamma(arrays["tx_power_w"]) \
+        / dist_sq ** (params.pathloss_exp / 2.0)
+    return params.bandwidth_hz * np.log2(1.0 + snr)
+
+
 def outage_rate(horiz_dist_sq, h, v, tx_power_w, params: ChannelParams):
     """Outage-constrained uplink rate in bits/s at the given geometry.
 
     horiz_dist_sq is the squared horizontal UE-UAV distance (m^2), h the
     altitude, v the elevation sine in (0, 1].
     """
-    horiz_dist_sq = np.asarray(horiz_dist_sq, dtype=float)
-    h = np.asarray(h, dtype=float)
-    v = np.asarray(v, dtype=float)
-    tx_power_w = np.asarray(tx_power_w, dtype=float)
-    for name, arr in (("horiz_dist_sq", horiz_dist_sq), ("h", h), ("v", v),
-                      ("tx_power_w", tx_power_w)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite {name}")
-    dist_sq = horiz_dist_sq + h ** 2
-    snr = _logistic_factor(v, params) * params.gamma(tx_power_w) \
-        / dist_sq ** (params.pathloss_exp / 2.0)
-    return params.bandwidth_hz * np.log2(1.0 + snr)
+    return _link_rate(horiz_dist_sq, h, v, tx_power_w, params)
 
 
 def los_rate(horiz_dist_sq, h, tx_power_w, params: ChannelParams):
     """Idealized pure line-of-sight rate: the angle-dependent factor set to 1."""
-    horiz_dist_sq = np.asarray(horiz_dist_sq, dtype=float)
-    h = np.asarray(h, dtype=float)
-    tx_power_w = np.asarray(tx_power_w, dtype=float)
-    for name, arr in (("horiz_dist_sq", horiz_dist_sq), ("h", h),
-                      ("tx_power_w", tx_power_w)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite {name}")
-    dist_sq = horiz_dist_sq + h ** 2
-    snr = params.gamma(tx_power_w) / dist_sq ** (params.pathloss_exp / 2.0)
-    return params.bandwidth_hz * np.log2(1.0 + snr)
+    return _link_rate(horiz_dist_sq, h, None, tx_power_w, params)
 
 
 def rate(horiz_dist_sq, h, tx_power_w, params: ChannelParams, model):

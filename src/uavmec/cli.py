@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import functools
 import hashlib
 import json
-import numbers
 import subprocess
 import sys
 import time
@@ -27,7 +27,7 @@ import numpy as np
 from . import (channel, oracle, optimizer, placement,
                scenario as scenario_mod, svg)
 from .channel import ChannelParams
-from .scenario import FleetConfig, Box, ScenarioError
+from .scenario import FleetConfig, Box, ScenarioError, check_integer
 
 RESULTS_CSV_SCHEMA = "uavmec-sweep-v1"
 METHODS = ("proposed", "hpo", "vpo", "clbo")
@@ -126,8 +126,12 @@ def cmd_solve(args):
             report = optimizer.solve(sc, method, config)
         _write_report(report, args.scenario, sc, args, args.out)
         walls.append((method, report.wall_s))
-        print(f"{method}: mu={report.mu:.6f} s, iterations={report.iterations}, "
-              f"converged={report.converged}")
+        # clbo's mu is its LoS-model objective; mu_eval is the outage-model
+        # value of its deployment, the one to compare with the other methods
+        mu_eval = (f", mu_eval={report.extras['mu_eval']:.6f} s"
+                   if "mu_eval" in report.extras else "")
+        print(f"{method}: mu={report.mu:.6f} s{mu_eval}, "
+              f"iterations={report.iterations}, converged={report.converged}")
         if not report.converged:
             worst = max(worst, 2)
     with open(Path(args.out) / "timings.csv", "w") as fh:
@@ -139,15 +143,13 @@ def cmd_solve(args):
 
 
 def _sweep_point(payload):
-    (sweep_var, value, method, seed, n_ues, n_uavs, max_iters, tol,
-     restarts) = payload
+    sweep_var, value, method, n_ues, n_uavs, config = payload
     if sweep_var == "num_ues":
         n_ues = value
     else:
         n_uavs = value
+    seed = config.seed
     sc = scenario_mod.generate(seed, n_ues, FleetConfig(num_uavs=n_uavs))
-    config = optimizer.OptimizerConfig(max_outer_iters=max_iters, rel_tol=tol,
-                                       restarts=restarts, seed=seed)
     t0 = time.perf_counter()
     try:
         with warnings.catch_warnings():
@@ -162,18 +164,6 @@ def _sweep_point(payload):
                 f"failed:{type(exc).__name__}", time.perf_counter() - t0)
 
 
-def _check_int(value, key, least):
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
-        raise ValueError(f"sweep spec '{key}' must be an integer >= {least}, "
-                         f"got {value!r}")
-    return value
-
-
-def _spec_int(spec, key, default, least):
-    return _check_int(spec.get(key, default), key, least)
-
-
 def _spec_list(spec, key):
     values = spec[key]
     if not isinstance(values, (list, tuple)) or not values:
@@ -182,9 +172,7 @@ def _spec_list(spec, key):
 
 
 def run_sweep(spec: dict, out_dir, jobs=1):
-    if (isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral)
-            or jobs < 1):
-        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    check_integer(jobs, "jobs", 1)
     if not isinstance(spec, dict):
         raise ValueError("sweep spec must be a JSON object")
     missing = [k for k in ("sweep_var", "values", "methods") if k not in spec]
@@ -193,7 +181,8 @@ def run_sweep(spec: dict, out_dir, jobs=1):
     sweep_var = spec["sweep_var"]
     if sweep_var not in ("num_ues", "num_uavs"):
         raise ValueError("sweep_var must be num_ues or num_uavs")
-    values = [_check_int(v, "values", 1) for v in _spec_list(spec, "values")]
+    values = [check_integer(v, "values", 1)
+              for v in _spec_list(spec, "values")]
     if values != sorted(set(values)):
         raise ValueError("sweep values must be strictly increasing")
     methods = _spec_list(spec, "methods")
@@ -201,23 +190,21 @@ def run_sweep(spec: dict, out_dir, jobs=1):
     if unknown:
         raise ValueError(f"unknown sweep methods {unknown}")
     if "seeds" in spec:
-        seeds = [_check_int(v, "seeds", 0) for v in _spec_list(spec, "seeds")]
+        seeds = _spec_list(spec, "seeds")
     else:
-        base = _spec_int(spec, "base_seed", 0, 0)
-        seeds = [base + k
-                 for k in range(_spec_int(spec, "seeds_per_point", 1, 1))]
-    n_ues = _spec_int(spec, "num_ues", 30, 1)
-    n_uavs = _spec_int(spec, "num_uavs", 5, 1)
-    max_iters = _spec_int(spec, "max_iters", 50, 1)
-    tol = spec.get("rel_tol", 1e-4)
-    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-            or not 0 < tol < float("inf")):
-        raise ValueError(f"sweep spec 'rel_tol' must be a number > 0, "
-                         f"got {tol!r}")
-    restarts = _spec_int(spec, "restarts", 1, 1)
+        base = check_integer(spec.get("base_seed", 0), "base_seed", 0)
+        count = check_integer(spec.get("seeds_per_point", 1),
+                              "seeds_per_point", 1)
+        seeds = [base + k for k in range(count)]
+    n_ues = check_integer(spec.get("num_ues", 30), "num_ues", 1)
+    n_uavs = check_integer(spec.get("num_uavs", 5), "num_uavs", 1)
+    config = optimizer.OptimizerConfig(
+        max_outer_iters=spec.get("max_iters", 50),
+        rel_tol=spec.get("rel_tol", 1e-4), restarts=spec.get("restarts", 1))
+    configs = [dataclasses.replace(config, seed=s) for s in seeds]
 
-    points = [(sweep_var, v, m, s, n_ues, n_uavs, max_iters, tol, restarts)
-              for v in values for m in methods for s in seeds]
+    points = [(sweep_var, v, m, n_ues, n_uavs, c)
+              for v in values for m in methods for c in configs]
     # the pool starts all its workers at once, so start no idle ones
     workers = min(jobs, len(points))
     if workers > 1:

@@ -37,7 +37,6 @@ class SolveStatus:
     x: np.ndarray | None = None
     kkt_residual: float = np.nan
     iterations: int = 0
-    dual_objective: float = np.nan
 
 
 @dataclass
@@ -225,5 +224,4 @@ def solve_lp(lp: LinearProgram, bases) -> SolveStatus:
     kkt = abs(primal - dual) / max(1.0, abs(primal))
     return SolveStatus(Status.OPTIMAL if kkt <= 1e-7
                        else Status.NUMERICAL_FAILURE, objective=primal, x=x,
-                       kkt_residual=kkt, iterations=sim.iterations,
-                       dual_objective=dual)
+                       kkt_residual=kkt, iterations=sim.iterations)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import association as assoc_mod
 from . import placement
-from .scenario import Scenario
+from .scenario import Scenario, check_integer
 
 HPO_ALTITUDE = 60.0      # meters; hpo pins every UAV here (clipped to the box)
 _KMEANS_ITERS = 100      # Lloyd iterations at most
@@ -55,20 +55,14 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_outer_iters", "restarts", "seed"):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
+        for name, least in (("max_outer_iters", 1), ("restarts", 1),
+                            ("seed", 0)):
+            check_integer(getattr(self, name), name, least)
         if (isinstance(self.rel_tol, bool)
                 or not isinstance(self.rel_tol, numbers.Real)
                 or not 0 < self.rel_tol < np.inf):
             raise ValueError(f"rel_tol must be a finite number > 0, "
                              f"got {self.rel_tol!r}")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
 
 
 @dataclass

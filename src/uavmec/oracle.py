@@ -144,16 +144,13 @@ def finite_diff_check(function, gradient, point, step=1e-5, scales=None):
     return float(np.max(np.abs(analytic - numeric) / scale))
 
 
-def bound_domination_sample(scenario: Scenario, n_samples=10 ** 4, seed=0,
-                            flip_sign=False):
+def bound_domination_sample(scenario: Scenario, n_samples=10 ** 4, seed=0):
     """Max over random feasible samples of (lower bound - true value), for
     the horizontal rate bound, the sine bound, and the vertical rate bound.
 
     Each sample draws a UE, an expansion point (q_hat, h), a horizontal
     position q with a sine v, and an altitude with a sine; the bounds are
     then evaluated over all samples at once, one expansion point per row.
-    flip_sign negates the bound coefficients, a self-test knob that must
-    make the sampler report a positive violation.
     """
     rng = np.random.default_rng(seed)
     box = scenario.fleet.box
@@ -172,14 +169,9 @@ def bound_domination_sample(scenario: Scenario, n_samples=10 ** 4, seed=0,
     tx = scenario.tx_powers[ue]
     ep = placement.ExpansionPoint.at(draws[:, 1:3], h, w, tx, params)
     coeffs = placement.psi_coefficients(ep, params)
-    if flip_sign:
-        coeffs = (-coeffs[0], -coeffs[1])
     sq = np.sum((draws[:, 4:6] - w) ** 2, axis=-1)
     lb = placement.r_lb_horizontal(sq, v, ep, coeffs, params)
     vb = placement.v_lb(sq, ep)
-    if flip_sign:
-        slope = ep.h_hat / (2.0 * ep.d_sq_hat ** 1.5)
-        vb = ep.v_hat + slope * (sq - ep.horiz_sq_hat)
     lbv = placement.r_lb_vertical(h_new, v2, ep, coeffs, params)
     # true rates at the horizontal samples (row 0) and vertical ones (row 1)
     true = channel.outage_rate(np.stack([sq, ep.horiz_sq_hat]),

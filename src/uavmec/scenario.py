@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,10 +34,13 @@ class ScenarioError(ValueError):
     """Raised for invalid scenario files or invariant violations."""
 
 
-def _check_count(value, name):
+def check_integer(value, name, least):
+    """``value`` if it is an integer (not a bool) >= ``least``."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < 1):
-        raise ScenarioError(f"{name} must be an integer >= 1, got {value!r}")
+            or value < least):
+        raise ScenarioError(f"{name} must be an integer >= {least}, "
+                            f"got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ class FleetConfig:
     box: Box = field(default_factory=Box)
 
     def __post_init__(self):
-        _check_count(self.num_uavs, "num_uavs")
+        check_integer(self.num_uavs, "num_uavs", 1)
         if not self.cpu_hz > 0:
             raise ScenarioError("cpu_hz must be > 0")
 
@@ -166,7 +169,8 @@ def generate(seed, n_ues, fleet: FleetConfig | None = None,
              task_spec: TaskSpec | None = None) -> Scenario:
     """Draw a scenario: UE positions i.i.d. uniform over the horizontal box,
     task sizes per task_spec, cycles = cycles_per_bit * data_bits."""
-    _check_count(n_ues, "n_ues")
+    check_integer(seed, "seed", 0)
+    check_integer(n_ues, "n_ues", 1)
     fleet = fleet or FleetConfig()
     channel = channel or ChannelParams()
     task_spec = task_spec or TaskSpec()
@@ -194,22 +198,11 @@ def _to_dict(scenario: Scenario) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "seed": scenario.seed,
-        "channel": {
-            "bandwidth_hz": ch.bandwidth_hz,
-            "ref_gain": ch.ref_gain,
-            "pathloss_exp": ch.pathloss_exp,
-            "noise_w": ch.noise_w,
-            "snr_gap": ch.snr_gap,
-            "k1": ch.k1, "k2": ch.k2, "k3": ch.k3, "k4": ch.k4,
-        },
+        "channel": {f.name: getattr(ch, f.name) for f in fields(ch)},
         "fleet": {
             "num_uavs": scenario.fleet.num_uavs,
             "cpu_hz": scenario.fleet.cpu_hz,
-            "box": {
-                "x_min_m": box.x_min, "x_max_m": box.x_max,
-                "y_min_m": box.y_min, "y_max_m": box.y_max,
-                "h_min_m": box.h_min, "h_max_m": box.h_max,
-            },
+            "box": {f"{f.name}_m": getattr(box, f.name) for f in fields(box)},
         },
         "ues": [
             {"x_m": u.x, "y_m": u.y, "data_bits": u.data_bits,
@@ -244,24 +237,20 @@ def _number(d, key, where):
     return _check_number(_get(d, key, where), key, where)
 
 
-def _integer(d, key, where):
-    value = _get(d, key, where)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"field '{key}' in {where} must be an integer, "
-                            f"got {value!r}")
-    return value
+def _integer(d, key, where, least):
+    return check_integer(_get(d, key, where), f"field '{key}' in {where}",
+                         least)
 
 
 def _from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    version = _integer(doc, "schema_version", "document root")
+    version = _integer(doc, "schema_version", "document root", 1)
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema_version {version}")
     ch = _object(doc, "channel", "document root")
-    constants = {key: _number(ch, key, "channel")
-                 for key in ("bandwidth_hz", "ref_gain", "pathloss_exp",
-                             "noise_w", "snr_gap", "k1", "k2", "k3", "k4")}
+    constants = {f.name: _number(ch, f.name, "channel")
+                 for f in fields(ChannelParams)}
     # older writers also stored two unused Rician constants: checked, ignored
     for key in ("rician_a1", "rician_a2"):
         _check_number(ch.get(key, 1.0), key, "channel")
@@ -271,16 +260,10 @@ def _from_dict(doc: dict) -> Scenario:
         raise ScenarioError(f"channel: {exc}") from exc
     fl = _object(doc, "fleet", "document root")
     bx = _object(fl, "box", "fleet")
-    try:
-        box = Box(**{edge: _number(bx, f"{edge}_m", "fleet.box")
-                     for edge in ("x_min", "x_max", "y_min", "y_max",
-                                  "h_min", "h_max")})
-        fleet = FleetConfig(num_uavs=_integer(fl, "num_uavs", "fleet"),
-                            cpu_hz=_number(fl, "cpu_hz", "fleet"), box=box)
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"fleet: {exc}") from exc
+    box = Box(**{f.name: _number(bx, f"{f.name}_m", "fleet.box")
+                 for f in fields(Box)})
+    fleet = FleetConfig(num_uavs=_integer(fl, "num_uavs", "fleet", 1),
+                        cpu_hz=_number(fl, "cpu_hz", "fleet"), box=box)
     ues = _get(doc, "ues", "document root")
     if not isinstance(ues, list):
         raise ScenarioError("field 'ues' in document root must be a list")
@@ -298,7 +281,7 @@ def _from_dict(doc: dict) -> Scenario:
         except ScenarioError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
     return Scenario(ues=tuple(parsed), fleet=fleet, channel=channel,
-                    seed=_integer(doc, "seed", "document root"))
+                    seed=_integer(doc, "seed", "document root", 0))
 
 
 def save(scenario: Scenario, path):

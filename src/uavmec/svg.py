@@ -5,12 +5,12 @@ from __future__ import annotations
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def line_chart(series, xlabel, ylabel, title, width=640, height=420):
-    """Render named (x, y) series as an SVG document string.
+def line_chart(series, xlabel, ylabel, title):
+    """Render named (x, y) series as a 640 x 420 SVG document string.
 
     series: list of (label, xs, ys) with xs sorted ascending.
     """
-    margin = 60
+    width, height, margin = 640, 420, 60
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
     all_x = [x for _, xs, _ in series for x in xs]

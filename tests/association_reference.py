@@ -71,8 +71,7 @@ def two_phase(lp):
     kkt = abs(primal - dual) / max(1.0, abs(primal))
     return SolveStatus(Status.OPTIMAL if kkt <= 1e-7
                        else Status.NUMERICAL_FAILURE, objective=primal, x=x,
-                       kkt_residual=kkt, iterations=sim.iterations,
-                       dual_objective=dual)
+                       kkt_residual=kkt, iterations=sim.iterations)
 
 
 def cold_relaxed(times):

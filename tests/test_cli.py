@@ -86,6 +86,25 @@ class TestSolve:
             ["proposed", "hpo", "vpo", "clbo"]
         assert all(float(line.split(",")[1]) >= 0 for line in lines[2:])
 
+    def test_clbo_line_shows_outage_model_value(self, scenario_file,
+                                                tmp_path, capsys):
+        # clbo's mu is its LoS-model objective; the line also carries the
+        # outage-model value that the other methods' mu compare with
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--scenario", str(scenario_file),
+                         "--method", "clbo", "--restarts", "1",
+                         "--out", str(out)]) == 0
+        extras = json.loads((out / "report_clbo.json").read_text())["extras"]
+        [line] = capsys.readouterr().out.splitlines()
+        assert line.startswith(f"clbo: mu={extras['mu_los']:.6f} s, "
+                               f"mu_eval={extras['mu_eval']:.6f} s, ")
+
+    def test_negative_seed_is_error(self, scenario_file, tmp_path, capsys):
+        code = cli.main(["solve", "--scenario", str(scenario_file),
+                         "--seed", "-1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "seed" in capsys.readouterr().err
+
     def test_missing_scenario_is_error(self, tmp_path, capsys):
         code = cli.main(["solve", "--scenario", str(tmp_path / "nope.json")])
         assert code == 1
@@ -213,6 +232,14 @@ class TestSweep:
         {"sweep_var": "num_ues", "values": [3], "methods": ["hpo"],
          "num_uavs": "2"},
         [1, 2],
+        {"sweep_var": "num_ues", "values": [3], "methods": ["hpo"],
+         "seeds": [-1]},
+        {"sweep_var": "num_ues", "values": [3], "methods": ["hpo"],
+         "max_iters": 0},
+        {"sweep_var": "num_ues", "values": [3], "methods": ["hpo"],
+         "restarts": 1.5},
+        {"sweep_var": "num_ues", "values": [3], "methods": ["hpo"],
+         "rel_tol": "0.1"},
     ])
     def test_malformed_spec_is_error(self, tmp_path, capsys, spec):
         spec_path = tmp_path / "spec.json"

@@ -117,9 +117,11 @@ class TestConfig:
         dict(rel_tol=True),
         dict(rel_tol="0.1"),
         dict(rel_tol=None),
+        dict(seed=-1),
     ])
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        [name] = kwargs
+        with pytest.raises(ValueError, match=name):
             OptimizerConfig(**kwargs)
 
     def test_numpy_integers_accepted(self):

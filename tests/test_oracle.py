@@ -113,9 +113,9 @@ class TestBoundDomination:
         assert oracle.bound_domination_sample(small_scenario, 500,
                                               seed=1) <= 1e-9
 
-    def test_flip_sign_self_test(self, small_scenario):
-        assert oracle.bound_domination_sample(small_scenario, 100, seed=1,
-                                              flip_sign=True) > 0
+    def test_flip_sign_self_test(self, small_scenario, flipped_bounds):
+        assert oracle.bound_domination_sample(small_scenario, 100,
+                                              seed=1) > 0
 
     def test_deterministic_in_seed(self, small_scenario):
         a = oracle.bound_domination_sample(small_scenario, 300, seed=7)

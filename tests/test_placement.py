@@ -106,9 +106,9 @@ class TestBounds:
         worst = oracle.bound_domination_sample(small_scenario, 2000, seed=3)
         assert worst <= 1e-9
 
-    def test_domination_sampler_catches_sign_flip(self, small_scenario):
-        worst = oracle.bound_domination_sample(small_scenario, 200, seed=3,
-                                               flip_sign=True)
+    def test_domination_sampler_catches_sign_flip(self, small_scenario,
+                                                  flipped_bounds):
+        worst = oracle.bound_domination_sample(small_scenario, 200, seed=3)
         assert worst > 1e-6
 
 

@@ -12,6 +12,53 @@ from uavmec.scenario import (Box, FleetConfig, Scenario, ScenarioError,
                              TaskSpec, Ue, generate, load, save)
 
 
+PINNED_SCENARIO = """\
+{
+  "schema_version": 1,
+  "seed": 0,
+  "channel": {
+    "bandwidth_hz": 10000000.0,
+    "ref_gain": 0.001,
+    "pathloss_exp": 2.0,
+    "noise_w": 1e-09,
+    "snr_gap": 6.606934480075959,
+    "k1": 0.01,
+    "k2": 0.99,
+    "k3": -4.7,
+    "k4": 8.9
+  },
+  "fleet": {
+    "num_uavs": 2,
+    "cpu_hz": 2000000000.0,
+    "box": {
+      "x_min_m": 0.0,
+      "x_max_m": 100.0,
+      "y_min_m": 0.0,
+      "y_max_m": 100.0,
+      "h_min_m": 40.0,
+      "h_max_m": 80.0
+    }
+  },
+  "ues": [
+    {
+      "x_m": 63.69616873214543,
+      "y_m": 4.0973523936194685,
+      "data_bits": 1000000.0,
+      "cycles": 300000000.0,
+      "tx_power_w": 0.1
+    },
+    {
+      "x_m": 26.97867137638703,
+      "y_m": 1.6527635528529094,
+      "data_bits": 1000000.0,
+      "cycles": 300000000.0,
+      "tx_power_w": 0.1
+    }
+  ]
+}
+"""
+
+
 class TestGenerate:
     def test_same_seed_reproduces(self):
         a = generate(3, 12)
@@ -51,6 +98,11 @@ class TestGenerate:
 
     def test_numpy_ue_count_accepted(self):
         assert generate(0, np.int64(3)).n_ues == 3
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1, "1", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ScenarioError, match="seed"):
+            generate(seed, 3)
 
 
 class TestValidation:
@@ -103,6 +155,12 @@ class TestSerialization:
         save(load(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_saved_text_pinned(self, tmp_path):
+        # key names and order of the schema: a drift in either fails here
+        path = tmp_path / "sc.json"
+        save(generate(0, 2, FleetConfig(num_uavs=2)), path)
+        assert path.read_text() == PINNED_SCENARIO
+
     def test_schema_version_written(self, tmp_path):
         path = tmp_path / "sc.json"
         save(generate(0, 2), path)
@@ -150,6 +208,7 @@ class TestSerialization:
         (("ues",), {"x_m": 1.0}),
         (("fleet",), []),
         (("seed",), 1.5),
+        (("seed",), -1),
     ])
     def test_wrong_types_rejected(self, tmp_path, path, value):
         doc = json.loads(json.dumps(sc_mod._to_dict(generate(0, 2))))
