@@ -2,8 +2,9 @@
 
 Computes UAV horizontal positions, altitudes, and UE-to-UAV associations
 that minimize the slowest UAV's total task-completion time, by block
-coordinate descent over an association LP and per-UAV successive convex
-approximation subproblems, with baseline methods and brute-force oracles.
+coordinate descent over an association LP and successive convex
+approximation placement steps (one call per step solves every UAV's
+subproblem), with baseline methods and brute-force oracles.
 """
 
 from .channel import ChannelParams

@@ -49,12 +49,6 @@ def _file_hash(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
-def _config_from_args(args, seed):
-    return optimizer.OptimizerConfig(
-        max_outer_iters=args.max_iters, rel_tol=args.tol,
-        restarts=args.restarts, seed=seed)
-
-
 def cmd_gen(args):
     box = Box()
     fleet = FleetConfig(num_uavs=args.uavs, box=box)
@@ -70,10 +64,21 @@ def _csv_header(sc):
             f"git={_git_describe()}\n")
 
 
-def _write_report(report, scenario_path, sc, args, out_dir):
+def _write_csv(path, header, columns, rows):
+    """The provenance header line, the column names, then one line per
+    row of already formatted values."""
+    with open(path, "w") as fh:
+        fh.write(header)
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
+def _write_report(report, scenario_path, sc, config, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = report.method
+    dep = report.deployment
     doc = {
         "method": report.method,
         "mu_s": report.mu,
@@ -86,28 +91,18 @@ def _write_report(report, scenario_path, sc, args, out_dir):
         "scenario_hash": _file_hash(scenario_path),
         "scenario_seed": sc.seed,
         "git_describe": _git_describe(),
-        "config": {
-            "max_outer_iters": args.max_iters,
-            "rel_tol": args.tol,
-            "restarts": args.restarts,
-            "seed": args.seed,
-        },
+        "config": dataclasses.asdict(config),
     }
     with open(out_dir / f"report_{tag}.json", "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    with open(out_dir / f"deployment_{tag}.csv", "w") as fh:
-        fh.write(_csv_header(sc))
-        fh.write("uav_id,x_m,y_m,h_m\n")
-        for j in range(sc.fleet.num_uavs):
-            fh.write(f"{j},{report.deployment.q[j, 0]!r},"
-                     f"{report.deployment.q[j, 1]!r},"
-                     f"{report.deployment.h[j]!r}\n")
-    with open(out_dir / f"association_{tag}.csv", "w") as fh:
-        fh.write(_csv_header(sc))
-        fh.write("ue_id,uav_id\n")
-        for i in range(sc.n_ues):
-            fh.write(f"{i},{int(np.argmax(report.association[i]))}\n")
+    _write_csv(out_dir / f"deployment_{tag}.csv", _csv_header(sc),
+               ("uav_id", "x_m", "y_m", "h_m"),
+               [(j, repr(x), repr(y), repr(h))
+                for j, ((x, y), h) in enumerate(zip(dep.q, dep.h))])
+    _write_csv(out_dir / f"association_{tag}.csv", _csv_header(sc),
+               ("ue_id", "uav_id"),
+               enumerate(np.argmax(report.association, axis=1).tolist()))
 
 
 def cmd_solve(args):
@@ -119,12 +114,14 @@ def cmd_solve(args):
     methods = METHODS if args.method == "all" else (args.method,)
     worst = 0
     walls = []
+    config = optimizer.OptimizerConfig(
+        max_outer_iters=args.max_iters, rel_tol=args.tol,
+        restarts=args.restarts, seed=args.seed)
     for method in methods:
-        config = _config_from_args(args, args.seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = optimizer.solve(sc, method, config)
-        _write_report(report, args.scenario, sc, args, args.out)
+        _write_report(report, args.scenario, sc, config, args.out)
         walls.append((method, report.wall_s))
         # clbo's mu is its LoS-model objective; mu_eval is the outage-model
         # value of its deployment, the one to compare with the other methods
@@ -134,11 +131,9 @@ def cmd_solve(args):
               f"iterations={report.iterations}, converged={report.converged}")
         if not report.converged:
             worst = max(worst, 2)
-    with open(Path(args.out) / "timings.csv", "w") as fh:
-        fh.write(_csv_header(sc))
-        fh.write("method,wall_ms\n")
-        for method, wall in walls:
-            fh.write(f"{method},{wall * 1e3:.1f}\n")
+    _write_csv(Path(args.out) / "timings.csv", _csv_header(sc),
+               ("method", "wall_ms"),
+               [(method, f"{wall * 1e3:.1f}") for method, wall in walls])
     return worst
 
 
@@ -218,30 +213,25 @@ def run_sweep(spec: dict, out_dir, jobs=1):
     out_dir.mkdir(parents=True, exist_ok=True)
     header = (f"# schema={RESULTS_CSV_SCHEMA} git={_git_describe()} "
               f"spec={json.dumps(spec, sort_keys=True)}\n")
-    with open(out_dir / "results.csv", "w") as fh:
-        fh.write(header)
-        fh.write("sweep_var,value,method,seed,mu_s,iters,status\n")
-        for (value, method, seed, mu, iters, status, _wall) in rows:
-            fh.write(f"{sweep_var},{value},{method},{seed},{mu!r},"
-                     f"{iters},{status}\n")
-    with open(out_dir / "timings.csv", "w") as fh:
-        fh.write(header)
-        fh.write("sweep_var,value,method,seed,wall_ms\n")
-        for (value, method, seed, _mu, _iters, _status, wall) in rows:
-            fh.write(f"{sweep_var},{value},{method},{seed},{wall * 1e3:.1f}\n")
+    key = ("sweep_var", "value", "method")
+    _write_csv(out_dir / "results.csv", header,
+               key + ("seed", "mu_s", "iters", "status"),
+               [(sweep_var, value, method, seed, repr(mu), iters, status)
+                for (value, method, seed, mu, iters, status, _wall) in rows])
+    _write_csv(out_dir / "timings.csv", header, key + ("seed", "wall_ms"),
+               [(sweep_var, value, method, seed, f"{wall * 1e3:.1f}")
+                for (value, method, seed, _mu, _iters, _status, wall) in rows])
 
     # aggregate per (value, method)
     agg = {}
     for (value, method, seed, mu, _iters, status, _wall) in rows:
         if status == "ok":
             agg.setdefault((value, method), []).append(mu)
-    with open(out_dir / "aggregate.csv", "w") as fh:
-        fh.write(header)
-        fh.write("sweep_var,value,method,mean_mu_s,std_mu_s,n\n")
-        for (value, method) in sorted(agg, key=lambda k: (k[0], k[1])):
-            mus = np.array(agg[(value, method)])
-            fh.write(f"{sweep_var},{value},{method},{float(mus.mean())!r},"
-                     f"{float(mus.std())!r},{len(mus)}\n")
+    _write_csv(out_dir / "aggregate.csv", header,
+               key + ("mean_mu_s", "std_mu_s", "n"),
+               [(sweep_var, value, method, repr(float(np.mean(mus))),
+                 repr(float(np.std(mus))), len(mus))
+                for (value, method), mus in sorted(agg.items())])
 
     series = []
     for method in methods:

@@ -17,8 +17,12 @@ The UAVs' problems are independent, so one call solves them all
 (``horizontal_block``, ``vertical_block``): one Newton oracle for both
 steps (``_Step.__call__``) evaluates the per-UE terms of every UAV at
 once and sums them per UAV, and one projected Newton
-(``projected_newton``) runs on all UAVs, each with its own free set,
-line search and stopping rule. Each step supplies only its geometry.
+(``projected_newton``) runs on all UAVs, row j for UAV j, each with its
+own free set, line search and stopping rule. Each step supplies only its
+geometry. The domain is the two floors alone, v >= V_FLOOR and
+z >= Z_FLOOR. There each time a_i / z_i is at most data_bits_i / Z_FLOOR,
+so every value is finite without a time cap, and scaling all data_bits
+and cycles by one factor scales the objectives but not the optimum.
 Rates are scaled by the expansion rates internally, so every scaled rate
 bound equals 1 at the expansion point; all public values are in bits/s.
 
@@ -41,10 +45,9 @@ import numpy as np
 from . import channel
 from .lp import SolveStatus, Status
 
-# domain of the reduced steps: points where a bound leaves it count as +inf
+# domain of the reduced steps: points below a floor count as +inf
 V_FLOOR = 1e-6          # least elevation sine
 Z_FLOOR = 1.0           # bits/s; keeps 1/z away from the pole
-MU_CAP = 1e9            # seconds
 
 
 @dataclass(frozen=True)
@@ -218,7 +221,9 @@ def projected_newton(fun, x0, lo, hi) -> NewtonRows:
     instead, so the projected path always descends. Armijo backtracking
     along the projected path; a row stops after the step whose Newton
     decrement -g.d / 2 was at most NEWTON_TOL times its value, or at a
-    stationary point, and is frozen from then on.
+    stationary point, and is frozen from then on. A row whose gradient is
+    exactly zero stops as OPTIMAL before its Newton system is formed, so
+    a constant row (zero Hessian too) never makes the solve singular.
     """
     x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lo), hi)
     f, g, hess = fun(x)
@@ -238,6 +243,8 @@ def projected_newton(fun, x0, lo, hi) -> NewtonRows:
         if not live.any():
             break
         at_lo, at_hi = x <= lo, x >= hi
+        # a constant row (g = 0, H = 0: a UAV with no UE) has no Newton step
+        stop(live & ~g.any(axis=1), Status.OPTIMAL, step)
         free = live[:, None] & ~((at_lo & (g > 0)) | (at_hi & (g < 0))
                                  | (at_lo & at_hi))
         g_free = np.where(free, g, 0.0)
@@ -298,19 +305,22 @@ def solve_convex(fun, x0, lo, hi) -> SolveStatus:
 
 class _Step:
     """One SCA step of every UAV at once, reduced to its placement
-    coordinates: row k of x holds the coordinates of the k-th UAV that
-    serves a UE, and that UAV minimizes f_k(x_k) = sum_i a_i / z_i + c_fix
-    over its UEs i, with the scaled rate bound
-    z_i = 1 + ce_i (E(v_hat_i) - E(v_i)) - cq_i ds_i, E(v) = exp(-(k3 + k4 v)).
+    coordinates: row j of x holds the coordinates of UAV j, which
+    minimizes f_j(x_j) = sum_i a_i / z_i + c_fix over its UEs i, with the
+    scaled rate bound
+    z_i = 1 + ce_i (E(v_hat_i) - E(v_i)) - cq_i ds_i, E(v) = exp(-(k3 + k4 v)),
+    and f_j = +inf where some v_i < V_FLOOR or z_i is below the scaled
+    Z_FLOOR. A UAV that serves no UE has f_j = 0 with zero derivatives.
 
     ``exp_point`` holds one row per UE, expanded at its UAV's position;
-    ``owner`` maps each UE to its UAV, and (q, h) are the positions of all
-    UAVs. Per-UE terms are summed per UAV with ``np.bincount``, which adds
-    each UAV's UEs in UE order, so a UAV's result does not depend on the
-    others. Subclasses supply the geometry, ``geometry(x)`` -> (ds, v,
-    grad ds, grad v, d2s, d2v) per UE, with (S, n) gradients and the
-    Hessians of ds_i and v_i as per-UE multiples d2s, d2v of the identity,
-    and set ``x_hat``, ``lo``/``hi`` and ``place(x)`` -> (q, h).
+    ``owner`` maps each UE to its UAV, which is also its row of x, and
+    (q, h) are the positions of all UAVs. Per-UE terms are summed per UAV
+    with ``np.bincount``, which adds each UAV's UEs in UE order, so a
+    UAV's result does not depend on the others. Subclasses supply the
+    geometry, ``geometry(x)`` -> (ds, v, grad ds, grad v, d2s, d2v) per
+    UE, with (S, n) gradients and the Hessians of ds_i and v_i as per-UE
+    multiples d2s, d2v of the identity, and set ``x_hat``, ``lo``/``hi``
+    and ``place(x)`` -> (q, h).
     """
 
     def __init__(self, exp_point, owner, q, h, ue_data, box):
@@ -319,12 +329,8 @@ class _Step:
         self.q = np.asarray(q, dtype=float)
         self.h = np.asarray(h, dtype=float)
         self.owner = np.asarray(owner)
-        # rows of x: the UAVs that serve a UE, in index order
-        serves = np.bincount(self.owner, minlength=self.h.size) > 0
-        self.uavs = np.flatnonzero(serves)
-        self.row = (np.cumsum(serves) - 1)[self.owner]
         cols = 2 + self.n + self.n * self.n
-        self._bins = (self.row[:, None] * cols + np.arange(cols)).ravel()
+        self._bins = (self.owner[:, None] * cols + np.arange(cols)).ravel()
         # the one place the model is decided; under LoS the rate bound
         # ignores the sine, so the horizontal step keeps it fixed
         if ep.model == "rician":
@@ -350,8 +356,7 @@ class _Step:
 
     def _sum(self, per_ue):
         """Per-UAV sums (one per row of x) of per-UE values."""
-        return np.bincount(self.row, weights=per_ue,
-                           minlength=self.uavs.size)
+        return np.bincount(self.owner, weights=per_ue, minlength=self.h.size)
 
     def _rate_bound(self, ds, v):
         e = _exp_term(v, self.ep.params)
@@ -385,7 +390,7 @@ class _Step:
         sums = np.bincount(self._bins, weights=terms.ravel(),
                            minlength=k * terms.shape[1]).reshape(k, -1)
         f = sums[:, 0] + self.c_fix
-        f[(sums[:, 1] > 0) | ~(f <= MU_CAP)] = np.inf
+        f[(sums[:, 1] > 0) | ~(f < np.inf)] = np.inf
         return f, sums[:, 2:2 + n], sums[:, 2 + n:].reshape(k, n, n)
 
     def _point(self, x):
@@ -414,18 +419,12 @@ class _Step:
             x = np.where(accepted[:, None], x, self.x_hat)
             point = self._point(x)
         ds, v = self.geometry(x)[:2]
-        kept = ~accepted[self.row]
+        kept = ~accepted[self.owner]
         z = np.where(kept, ep.r_hat, self._rate_bound(ds, v)[1] * ep.r_hat)
         q, h = self.place(x)
-        m = self.h.size
-        status = np.full(m, Status.OPTIMAL, dtype=object)
-        status[self.uavs] = res.status
-        acc = np.ones(m, dtype=bool)
-        acc[self.uavs] = accepted
-        mu = np.zeros(m)
-        mu[self.uavs] = np.where(accepted, res.objective, t_old)
         return BlockSolution(q=q, h=h, v=np.where(kept, ep.v_hat, v), z=z,
-                             mu=mu, status=status, accepted=acc, point=point)
+                             mu=np.where(accepted, res.objective, t_old),
+                             status=res.status, accepted=accepted, point=point)
 
 
 class _Horizontal(_Step):
@@ -437,21 +436,19 @@ class _Horizontal(_Step):
     def __init__(self, exp_point, owner, q, h, ue_data, box):
         super().__init__(exp_point, owner, q, h, ue_data, box)
         self.d2v = -2.0 * self.sigma
-        self.x_hat = self.q[self.uavs]
+        self.x_hat = self.q
         self.lo = np.array([box.x_min, box.y_min])
         self.hi = np.array([box.x_max, box.y_max])
 
     def geometry(self, x):
         ep = self.ep
-        u = x[self.row] - ep.ue_pos
+        u = x[self.owner] - ep.ue_pos
         ds = np.einsum("ij,ij->i", u, u) - ep.horiz_sq_hat
         return (ds, ep.v_hat - self.sigma * ds, 2.0 * u,
                 self.d2v[:, None] * u, 2.0, self.d2v)
 
     def place(self, x):
-        q = self.q.copy()
-        q[self.uavs] = x
-        return q, self.h
+        return x, self.h
 
 
 class _Vertical(_Step):
@@ -462,12 +459,12 @@ class _Vertical(_Step):
 
     def __init__(self, exp_point, owner, q, h, ue_data, box):
         super().__init__(exp_point, owner, q, h, ue_data, box)
-        self.x_hat = self.h[self.uavs, None]
+        self.x_hat = self.h[:, None]
         self.lo = np.array([box.h_min])
         self.hi = np.array([box.h_max])
 
     def geometry(self, x):
-        h = x[self.row, 0]
+        h = x[self.owner, 0]
         s = self.ep.horiz_sq_hat
         d_sq = s + h * h
         return (h * h - self.ep.h_hat ** 2, h / np.sqrt(d_sq),
@@ -475,9 +472,7 @@ class _Vertical(_Step):
                 -3.0 * s * h / d_sq ** 2.5)
 
     def place(self, x):
-        h = self.h.copy()
-        h[self.uavs] = x[:, 0]
-        return self.q, h
+        return self.q, x[:, 0]
 
 
 def horizontal_block(exp_point, owner, q, h, ue_data, box) -> BlockSolution:

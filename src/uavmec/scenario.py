@@ -178,11 +178,9 @@ def generate(seed, n_ues, fleet: FleetConfig | None = None,
     box = fleet.box
     xs = rng.uniform(box.x_min, box.x_max, size=n_ues)
     ys = rng.uniform(box.y_min, box.y_max, size=n_ues)
-    if task_spec.data_bits_min == task_spec.data_bits_max:
-        bits = np.full(n_ues, task_spec.data_bits_min)
-    else:
-        bits = rng.uniform(task_spec.data_bits_min, task_spec.data_bits_max,
-                           size=n_ues)
+    # with equal bounds numpy returns the bound itself
+    bits = rng.uniform(task_spec.data_bits_min, task_spec.data_bits_max,
+                       size=n_ues)
     ues = tuple(
         Ue(x=float(xs[i]), y=float(ys[i]), data_bits=float(bits[i]),
            cycles=float(task_spec.cycles_per_bit * bits[i]),

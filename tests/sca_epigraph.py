@@ -11,7 +11,9 @@ import numpy as np
 
 from barrier import ConstraintBlock, ConvexProgram, solve_convex
 from uavmec import placement
-from uavmec.placement import MU_CAP, V_FLOOR, Z_FLOOR
+from uavmec.placement import V_FLOOR, Z_FLOOR
+
+MU_MAX = 1e9            # seconds; upper bound of the epigraph variable mu
 
 
 class _TimeBlock(ConstraintBlock):
@@ -217,9 +219,9 @@ def _scaled(exp_point, ue_data, params, use_v):
 def _solve(n, blocks, lo, hi, x0, mu_ix, a, c_fix, z_sl, r_hat, tol):
     lo[z_sl] = Z_FLOOR / r_hat
     lo[mu_ix] = 0.0
-    hi[mu_ix] = MU_CAP
+    hi[mu_ix] = MU_MAX
     x0[mu_ix] = min(float(np.sum(a / x0[z_sl])) + c_fix + 1e-6,
-                    MU_CAP) * (1 + 1e-6)
+                    MU_MAX) * (1 + 1e-6)
     prog = ConvexProgram(n=n, c=np.eye(n)[mu_ix], blocks=blocks, lo=lo, hi=hi)
     return solve_convex(prog, x0, tol=tol, max_newton=4000)
 

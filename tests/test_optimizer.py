@@ -2,6 +2,7 @@
 the expected ordering between methods."""
 
 import collections
+import dataclasses
 import warnings
 
 import numpy as np
@@ -294,6 +295,32 @@ def test_solver_entry_points_agree(medium_scenario):
     assert by_name == direct
 
 
+def _scenario(xy, bits, num_uavs):
+    ues = tuple(Ue(x=float(x), y=float(y), data_bits=float(b),
+                   cycles=float(300.0 * b)) for (x, y), b in zip(xy, bits))
+    return Scenario(ues=ues, fleet=FleetConfig(num_uavs=num_uavs),
+                    channel=ChannelParams(), seed=0)
+
+
+def _orders_apart(xy, orders):
+    """UEs at xy on 3 UAVs; data_bits from 1e3 to 1e3 * 10**orders,
+    log-spaced and shuffled."""
+    rng = np.random.default_rng(0)
+    return _scenario(xy, rng.permutation(np.logspace(3, 3 + orders, len(xy))),
+                     3)
+
+
+DEGENERATE = {
+    "single-ue": lambda: generate(2, 1, FleetConfig(num_uavs=2)),
+    "colocated-12-on-3": lambda: _scenario(np.full((12, 2), 50.0),
+                                           np.full(12, 1e6), 3),
+    "bits-12-orders": lambda: _orders_apart(
+        np.random.default_rng(1).uniform(0.0, 100.0, (20, 2)), 12),
+    "groups-17-orders": lambda: _orders_apart(
+        np.repeat([[20.0, 30.0], [70.0, 40.0], [50.0, 85.0]], 10, axis=0), 17),
+}
+
+
 class TestDegenerateInputs:
     @pytest.mark.parametrize("method", ["proposed", "hpo", "vpo", "clbo"])
     def test_more_uavs_than_ues(self, method):
@@ -304,6 +331,26 @@ class TestDegenerateInputs:
         box = sc.fleet.box
         assert np.all((box.h_min <= rep.deployment.h)
                       & (rep.deployment.h <= box.h_max))
+
+    @pytest.mark.parametrize("method", ["proposed", "hpo", "vpo", "clbo"])
+    @pytest.mark.parametrize("case", sorted(DEGENERATE))
+    def test_valid_deployment(self, case, method):
+        sc = DEGENERATE[case]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.filterwarnings("ignore",
+                                    message="association rounding regressed")
+            rep = solve(sc, method, OptimizerConfig(restarts=1, seed=0))
+        assert np.array_equal(rep.association.sum(axis=1),
+                              np.ones(sc.n_ues))
+        assert set(np.unique(rep.association)) <= {0, 1}
+        box, dep = sc.fleet.box, rep.deployment
+        assert np.all((box.x_min <= dep.q[:, 0]) & (dep.q[:, 0] <= box.x_max))
+        assert np.all((box.y_min <= dep.q[:, 1]) & (dep.q[:, 1] <= box.y_max))
+        assert np.all((box.h_min <= dep.h) & (dep.h <= box.h_max))
+        assert np.isfinite(rep.mu) and rep.mu > 0
+        model = "los" if method == "clbo" else "rician"
+        assert rep.mu == completion_time(sc, dep, rep.association, model)[0]
 
     def test_vpo_splits_colocated_ues(self):
         ues = tuple(Ue(x=50.0, y=50.0, data_bits=1e6, cycles=3e8)
@@ -359,3 +406,29 @@ class TestPricedAssociation:
         quiet_solve(generate(seed, 200, FleetConfig(num_uavs=10)), "proposed",
                     OptimizerConfig(restarts=1, max_outer_iters=2, seed=seed))
         assert pivots == [0, 0]
+
+
+def _scaled_tasks(sc, factor):
+    return dataclasses.replace(sc, ues=tuple(
+        dataclasses.replace(ue, data_bits=ue.data_bits * factor,
+                            cycles=ue.cycles * factor) for ue in sc.ues))
+
+
+class TestScaleInvariance:
+    """The problem is homogeneous in (data_bits, cycles): scaling both by a
+    power of two, which is exact in floating point, must leave every
+    deployment unchanged to the bit and scale mu by the same factor."""
+
+    @pytest.mark.parametrize("method", ["proposed", "hpo", "vpo", "clbo"])
+    @pytest.mark.parametrize("size", [(6, 2), (20, 3)], ids=["6x2", "20x3"])
+    def test_scaled_tasks_same_deployment(self, size, method):
+        factor = 2.0 ** 40
+        for seed in range(4):
+            sc = generate(seed, size[0], FleetConfig(num_uavs=size[1]))
+            cfg = OptimizerConfig(restarts=1, seed=seed)
+            rep = quiet_solve(sc, method, cfg)
+            big = quiet_solve(_scaled_tasks(sc, factor), method, cfg)
+            assert big.deployment.q.tobytes() == rep.deployment.q.tobytes()
+            assert big.deployment.h.tobytes() == rep.deployment.h.tobytes()
+            assert np.array_equal(big.association, rep.association)
+            assert big.mu == rep.mu * factor
