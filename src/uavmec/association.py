@@ -11,17 +11,22 @@ whose upper bounds a_ij <= 1 are implied by the row-sum equalities.
 Its dual is M-dimensional: max over prices lambda in the simplex of
 sum_i min_j lambda_j t_ij. Dantzig-Wolfe column generation finds the
 optimal prices on an (M+1)-row master LP whatever N is, run on the
-revised simplex of ``lp`` with raw columns appended; by complementary
-slackness they name a starting basis (mu, each UE's cheapest UAV at
-those prices, the slacks of unpriced load rows, and the other pairs
-closest to a tie that fill it to N + M columns), and one ``solve_lp``
-call on the full LP runs phase 2 from it. At a nondegenerate optimum
-that basis is already optimal, so the call costs no pivot and only
-certifies it. Where degeneracy (such as co-located UEs) leaves it
-singular or infeasible, phase 2 starts from the fastest-UAV vertex,
-which is always feasible and well conditioned. Both run on the times
-scaled to an LP value in [1, M], where the simplex's absolute
-tolerances act as relative ones.
+revised simplex of ``lp`` with raw columns appended. Pricing is
+smoothed (Wentges 1997): each column is priced at a point between the
+master's prices and those of the best Lagrangian bound so far, or at
+the master's own prices where that point misprices. It stops when the
+master value is within 1e-13 relative of the best bound, or when the
+last column did not enter the master, and returns the best-bound
+prices. By complementary slackness they name a starting basis (mu,
+each UE's cheapest UAV at those prices, the slacks of unpriced load
+rows, and the other pairs closest to a tie that fill it to N + M
+columns), and one ``solve_lp`` call on the full LP runs phase 2 from
+it. At a nondegenerate optimum that basis is already optimal, so the
+call costs no pivot and only certifies it. Where degeneracy (such as
+co-located UEs) leaves it singular or infeasible, phase 2 starts from
+the fastest-UAV vertex, which is always feasible and well conditioned.
+Both run on the times scaled to an LP value in [1, M], where the
+simplex's absolute tolerances act as relative ones.
 
 Rounding sets the first entry >= 0.5 per row, falling back to the row
 argmax so that every row ends with exactly one 1 even for degenerate
@@ -37,6 +42,7 @@ from .lp import LinearProgram, Status, basis_start, solve_lp
 
 _DW_GAP = 1e-13          # relative master-minus-bound gap that ends pricing
 _MAX_COLUMNS = 10000     # pricing rounds at most; the simplex certifies anyway
+_SMOOTH = 0.8            # weight of the best-bound prices in the pricing point
 
 
 class AssociationError(RuntimeError):
@@ -91,17 +97,32 @@ def dual_prices(times):
         min mu  s.t.  sum_k w_k L_k <= mu 1,  sum_k w_k = 1,  w >= 0,
 
     whose columns L_k are the loads of argmin assignments. The master
-    value bounds the LP from above; the priced column's Lagrangian value
-    lambda . L (= sum_i min_j lambda_j t_ij) bounds it from below. The
-    master stays warm: each new column is appended as it is, and the
-    prices are the negated simplex multipliers of its load rows.
+    value bounds the LP from above; a column's Lagrangian value
+    lambda . L (= sum_i min_j lambda_j t_ij) at the prices it was priced
+    at bounds it from below. The master stays warm: each new column is
+    appended as it is, and its prices rmp are the negated simplex
+    multipliers of its load rows.
+
+    Pricing is smoothed against the tailing-off of the master's prices
+    (Wentges, "Weighted Dantzig-Wolfe decomposition for linear mixed-
+    integer programming", ITOR 4(2), 1997): each column is priced at
+    0.8 stab + 0.2 rmp, where stab holds the prices of the best bound so
+    far (at first the uniform prices of the first column). If that
+    column has no negative reduced cost at rmp (rmp . L >= value), the
+    smoothed point mispriced, and a column is priced at rmp itself.
+    Pricing stops when the master value is within 1e-13 relative of the
+    best bound, or when the last column did not enter the master (its
+    reduced cost was below the simplex's tolerance); before that second
+    stop the Lagrangian value of rmp is taken too. The returned prices
+    are stab, whose Lagrangian value is the best bound.
 
     The simplex's tolerances are absolute, so ``times`` should be scaled
     as ``solve_relaxed`` scales them, to an LP value in [1, M].
     """
     n, m = times.shape
-    prices = np.full(m, 1.0 / m)
-    loads = _argmin_loads(times, prices)
+    stab = np.full(m, 1.0 / m)
+    loads = _argmin_loads(times, stab)
+    bound = stab @ loads
     # columns: mu, the M load-row slacks, then one w_k per load vector;
     # rows: the M load rows, then sum_k w_k = 1
     a = np.zeros((m + 1, m + 2))
@@ -116,22 +137,28 @@ def dual_prices(times):
                          + [m + 1])
     c = np.zeros(m + 2)
     c[0] = 1.0
-    bound = 0.0
     for _ in range(_MAX_COLUMNS):
         before = master.iterations
         if master.run(c, 200 * sum(master.a.shape)) is not Status.OPTIMAL:
             break
         value = c[master.basis] @ master.xb
-        prices = -master.duals(c)[:m]
-        loads = _argmin_loads(times, prices)
-        bound = max(bound, prices @ loads)
+        rmp = -master.duals(c)[:m]
+        stalled = c.size > m + 2 and master.iterations == before
+        smoothed = _SMOOTH * stab + (1.0 - _SMOOTH) * rmp
+        # price at the smoothed point, and at rmp itself where that column
+        # has no negative reduced cost at rmp (a mispricing) or on a stall
+        for point in ((rmp,) if stalled else (smoothed, rmp)):
+            loads = _argmin_loads(times, point)
+            if point @ loads > bound:
+                stab, bound = point, point @ loads
+            if rmp @ loads < value * (1.0 - _DW_GAP):
+                break
         # stop at the optimum, or when the last column did not enter
-        if value - bound <= _DW_GAP * value or (
-                c.size > m + 2 and master.iterations == before):
+        if value - bound <= _DW_GAP * value or stalled:
             break
         master.add_column(np.append(loads, 1.0))
         c = np.append(c, 0.0)
-    return prices
+    return stab
 
 
 def solve_relaxed(times):

@@ -98,7 +98,7 @@ def _write_report(report, scenario_path, sc, config, out_dir):
         fh.write("\n")
     _write_csv(out_dir / f"deployment_{tag}.csv", _csv_header(sc),
                ("uav_id", "x_m", "y_m", "h_m"),
-               [(j, repr(x), repr(y), repr(h))
+               [(j, repr(float(x)), repr(float(y)), repr(float(h)))
                 for j, ((x, y), h) in enumerate(zip(dep.q, dep.h))])
     _write_csv(out_dir / f"association_{tag}.csv", _csv_header(sc),
                ("ue_id", "uav_id"),

@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 
 from association_reference import cold_relaxed, round_rows
 from uavmec import association, channel, oracle
-from uavmec.lp import Status, basis_start, equality_form, solve_lp
+from uavmec.lp import Simplex, Status, basis_start, equality_form, solve_lp
 from uavmec.optimizer import Deployment, kmeans
 from uavmec.scenario import FleetConfig, Scenario, Ue, generate
 from uavmec.channel import ChannelParams
@@ -158,6 +158,29 @@ def assert_lp_optimum(times, frac, mu, ref_mu):
     assert mu == pytest.approx(ref_mu, rel=1e-9)
 
 
+DEGENERATE = pytest.mark.parametrize("times", [
+    np.tile([[0.7, 1.3, 0.9]], (6, 1)),                 # co-located UEs
+    np.repeat(log_uniform_times(3, 4, 1), 3, axis=0),   # co-located groups
+    np.ones((5, 3)),                                    # all times tied
+    log_uniform_times(3, 8, 2),                         # M > N
+    log_uniform_times(1, 5, 3),                         # N = 1
+    log_uniform_times(7, 1, 4),                         # M = 1
+    np.array([[2.0]]),
+    log_uniform_times(30, 5, 5, lo=1e-4, hi=1e5),       # 9 orders
+    np.array([[1e-4, 1e5, 1.0]] * 4 + [[1e5, 1e-4, 1.0]] * 3),
+], ids=["colocated", "colocated-groups", "all-tied", "more-uavs",
+        "single-ue", "single-uav", "one-by-one", "nine-orders",
+        "nine-orders-blocks"])
+
+
+def assert_dual_optimal(times, prices):
+    """Prices in the simplex whose Lagrangian value is HiGHS's LP value."""
+    assert np.all(prices >= 0)
+    assert prices.sum() == pytest.approx(1.0, rel=1e-12)
+    assert np.sum(np.min(times * prices, axis=1)) == pytest.approx(
+        highs(times).fun, rel=1e-9)
+
+
 class TestPricedStart:
     """solve_relaxed starts the simplex from the basis its dual prices
     give; the result must be the LP optimum (HiGHS's value) with the cold
@@ -182,12 +205,35 @@ class TestPricedStart:
     @settings(max_examples=30, deadline=None)
     def test_prices_are_dual_optimal(self, n, m, seed):
         times = log_uniform_times(n, m, seed)
-        prices = association.dual_prices(times)
-        assert np.all(prices >= 0)
-        assert prices.sum() == pytest.approx(1.0, rel=1e-12)
-        # the Lagrangian value of the prices is the LP value
-        assert np.sum(np.min(times * prices, axis=1)) == pytest.approx(
-            highs(times).fun, rel=1e-9)
+        assert_dual_optimal(times, association.dual_prices(times))
+
+    @DEGENERATE
+    def test_prices_are_dual_optimal_on_degenerate_inputs(self, times):
+        assert_dual_optimal(times, association.dual_prices(times))
+
+    def test_mispriced_column_is_priced_again_at_the_master_prices(self):
+        # a round prices its column at the smoothed point and, where that
+        # column has no negative reduced cost at the master's prices, once
+        # more at them: two pricings, then the second one's column
+        events = []
+        argmin_loads = association._argmin_loads
+        add_column = Simplex.add_column
+
+        def spy_loads(times, prices):
+            events.append("price")
+            return argmin_loads(times, prices)
+
+        def spy_column(self, col):
+            events.append("column")
+            add_column(self, col)
+
+        times = log_uniform_times(5, 3, 0)
+        with mock.patch.object(association, "_argmin_loads", spy_loads), \
+                mock.patch.object(Simplex, "add_column", spy_column):
+            prices = association.dual_prices(times)
+        # the first pricing is the uniform prices' starting column
+        assert "price,price,column" in ",".join(events[1:])
+        assert_dual_optimal(times, prices)
 
     @given(st.integers(1, 60), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -202,19 +248,7 @@ class TestPricedStart:
             assert association.dual_prices(times) == pytest.approx(
                 -ref.ineqlin.marginals, abs=1e-7)
 
-    @pytest.mark.parametrize("times", [
-        np.tile([[0.7, 1.3, 0.9]], (6, 1)),                 # co-located UEs
-        np.repeat(log_uniform_times(3, 4, 1), 3, axis=0),   # co-located groups
-        np.ones((5, 3)),                                    # all times tied
-        log_uniform_times(3, 8, 2),                         # M > N
-        log_uniform_times(1, 5, 3),                         # N = 1
-        log_uniform_times(7, 1, 4),                         # M = 1
-        np.array([[2.0]]),
-        log_uniform_times(30, 5, 5, lo=1e-4, hi=1e5),       # 9 orders
-        np.array([[1e-4, 1e5, 1.0]] * 4 + [[1e5, 1e-4, 1.0]] * 3),
-    ], ids=["colocated", "colocated-groups", "all-tied", "more-uavs",
-            "single-ue", "single-uav", "one-by-one", "nine-orders",
-            "nine-orders-blocks"])
+    @DEGENERATE
     def test_degenerate_inputs(self, times):
         # against HiGHS: on nine-orders-blocks the cold simplex stops 4.7e-8
         # relative above the optimum, (4e-4 + 3e-13) / (1 + 1e-4 + 1e-9),

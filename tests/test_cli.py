@@ -55,6 +55,31 @@ class TestSolve:
         assert assoc_lines[1] == "ue_id,uav_id"
         assert len(assoc_lines) == 2 + 6
 
+    def test_deployment_cells_are_plain_floats(self, scenario_file, tmp_path,
+                                               monkeypatch):
+        # each x_m, y_m and h_m cell parses with float() to the report's
+        # deployment bit for bit (a numpy scalar's repr, np.float64(...),
+        # does not parse)
+        reports = {}
+        write_report = cli._write_report
+
+        def spy(report, *args):
+            reports[report.method] = report
+            write_report(report, *args)
+
+        monkeypatch.setattr(cli, "_write_report", spy)
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--scenario", str(scenario_file),
+                         "--method", "all", "--restarts", "1",
+                         "--out", str(out)]) == 0
+        assert sorted(reports) == ["clbo", "hpo", "proposed", "vpo"]
+        for method, report in reports.items():
+            lines = (out / f"deployment_{method}.csv").read_text().splitlines()
+            cells = np.array([[float(v) for v in line.split(",")[1:]]
+                              for line in lines[2:]])
+            dep = report.deployment
+            assert np.array_equal(cells, np.column_stack([dep.q, dep.h]))
+
     def test_all_methods(self, scenario_file, tmp_path):
         out = tmp_path / "out"
         code = cli.main(["solve", "--scenario", str(scenario_file),

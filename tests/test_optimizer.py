@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from association_reference import cold_relaxed
-from uavmec import association, channel, oracle, placement
+from uavmec import association, channel, lp, oracle, placement
 from uavmec.lp import basis_start, equality_form, solve_lp
 from uavmec.optimizer import (Deployment, OptimizerConfig, completion_time,
                               kmeans, solve, solve_clbo, solve_hpo,
@@ -406,6 +406,26 @@ class TestPricedAssociation:
         quiet_solve(generate(seed, 200, FleetConfig(num_uavs=10)), "proposed",
                     OptimizerConfig(restarts=1, max_outer_iters=2, seed=seed))
         assert pivots == [0, 0]
+
+    @pytest.mark.parametrize("seed", [925312022, 932482408, 1258493683,
+                                      1878861697])
+    def test_smoothed_pricing_columns_at_200_by_10(self, seed, monkeypatch):
+        # the master's prices tail off: pricing at them took 299-308
+        # columns for the solve's two LPs; smoothed pricing takes 128-146.
+        # Without the stop on a column that does not enter, 1878861697
+        # kept adding columns below the simplex's tolerance up to the
+        # 10 000-column cap (10 055 in all)
+        columns = []
+        add_column = lp.Simplex.add_column
+
+        def spy(self, col):
+            columns.append(col)
+            add_column(self, col)
+
+        monkeypatch.setattr(lp.Simplex, "add_column", spy)
+        quiet_solve(generate(seed, 200, FleetConfig(num_uavs=10)), "proposed",
+                    OptimizerConfig(restarts=1, max_outer_iters=2, seed=seed))
+        assert 0 < len(columns) <= 200
 
 
 def _scaled_tasks(sc, factor):
