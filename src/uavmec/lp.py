@@ -12,6 +12,14 @@ Bland's rule after a run of degenerate pivots, so the method is
 deterministic and cannot cycle. An optimal return carries the dual point
 of the final basis, factored afresh from its original columns; the
 reported kkt_residual is the primal-dual objective gap.
+
+A starting basis whose rows are mostly singletons (one nonzero each) has
+them eliminated before the rest is factored densely, the first step of
+LP-basis LU (Suhl & Suhl, ORSA J. Computing 2(4), 1990). An optimal
+basis of the relaxed association LP is a pseudo-forest with at most
+M - 1 split UEs (Lenstra, Shmoys & Tardos, Math. Programming 46, 1990):
+every other UE row is a singleton, and the dense rest has at most
+2M - 1 rows whatever N is.
 """
 
 from __future__ import annotations
@@ -145,6 +153,45 @@ class Simplex:
         self.basis[row] = enter
 
 
+def _inverse(bmat):
+    """B^-1 of a square matrix B; raises LinAlgError where B is singular.
+
+    Where more than half of B's rows are singletons (one nonzero each),
+    they are eliminated first. With R1 those rows, C1 the columns of
+    their nonzeros d (distinct, or B is singular), R2 and C2 the other
+    rows and columns and S = B[R2, C2], B is block triangular and
+
+        B^-1[C1, R1] = diag(1/d),   B^-1[C1, R2] = 0,
+        B^-1[C2, R2] = S^-1,
+        B^-1[C2, R1] = -S^-1 B[R2, C1] diag(1/d),
+
+    so only S is inverted densely. Otherwise B is inverted whole, which
+    is cheaper for a small matrix with few singletons.
+    """
+    m = bmat.shape[0]
+    nonzero = bmat != 0.0
+    single = nonzero.sum(axis=1) == 1
+    r1 = np.flatnonzero(single)
+    if 2 * r1.size <= m:
+        return np.linalg.inv(bmat)
+    c1 = nonzero[r1].argmax(axis=1)
+    free = np.ones(m, dtype=bool)
+    free[c1] = False
+    r2, c2 = np.flatnonzero(~single), np.flatnonzero(free)
+    lower = bmat[r2]
+    # S has more columns than rows, and inv raises, where two singleton
+    # rows share a column
+    sinv = np.linalg.inv(lower[:, c2])
+    d = bmat[r1, c1]
+    binv = np.zeros((m, m))
+    binv[c1, r1] = 1.0 / d
+    rest = np.empty((c2.size, m))
+    rest[:, r2] = sinv
+    rest[:, r1] = (sinv @ lower[:, c1]) / -d
+    binv[c2] = rest
+    return binv
+
+
 def basis_start(a, b, basis):
     """The simplex state of ``a y = b`` at a starting basis, or None.
 
@@ -152,6 +199,9 @@ def basis_start(a, b, basis):
     start phase 2: it has the wrong size or an index out of range, its
     columns are singular to working precision (infinity-norm condition
     number above 1e12), or its basic solution B^-1 b has a negative entry.
+    B^-1 is formed by eliminating the basis's row singletons when they are
+    more than half of its rows, and by inverting B whole otherwise
+    (``_inverse``).
     """
     m = a.shape[0]
     basis = np.asarray(basis, dtype=int)
@@ -160,7 +210,7 @@ def basis_start(a, b, basis):
         return None
     bmat = a[:, basis]
     try:
-        binv = np.linalg.inv(bmat)
+        binv = _inverse(bmat)
     except np.linalg.LinAlgError:
         return None
     cond = np.abs(bmat).sum(axis=1).max() * np.abs(binv).sum(axis=1).max()
@@ -193,7 +243,11 @@ def solve_lp(lp: LinearProgram, bases) -> SolveStatus:
 
     Phase 2 takes at most 200 pivots per row and column of the equality
     form; an optimum whose primal-dual gap exceeds 1e-7 (relative to
-    max(1, |objective|)) is reported as a numerical failure.
+    max(1, |objective|)) is reported as a numerical failure. The gap's
+    dual point pi solves B^T pi = c_B on the final basis, factored afresh
+    from its original columns: with no pivot taken, the B^-1 that
+    ``basis_start`` formed is that factorization and pi = c_B B^-1;
+    after pivots, one LU solve.
     """
     a, b = equality_form(lp)
     for basis in bases:
@@ -212,15 +266,16 @@ def solve_lp(lp: LinearProgram, bases) -> SolveStatus:
     y[sim.basis] = sim.xb
     x = y[:lp.c.size]
     primal = float(lp.c @ x)
-    # dual point from the final basis of the original equality-form system,
-    # factored afresh rather than read off the B^-1 the pivots maintained:
-    # solve B^T pi = c_B, dual objective = pi . b
-    try:
-        pi = np.linalg.solve(a[:, sim.basis].T, c[sim.basis])
-        dual = float(pi @ b)
-    except np.linalg.LinAlgError:
-        return SolveStatus(Status.NUMERICAL_FAILURE, objective=primal, x=x,
-                           iterations=sim.iterations)
+    # the dual point is never read off a B^-1 that pivots have updated
+    if sim.iterations == 0:
+        pi = sim.duals(c)
+    else:
+        try:
+            pi = np.linalg.solve(a[:, sim.basis].T, c[sim.basis])
+        except np.linalg.LinAlgError:
+            return SolveStatus(Status.NUMERICAL_FAILURE, objective=primal,
+                               x=x, iterations=sim.iterations)
+    dual = float(pi @ b)
     kkt = abs(primal - dual) / max(1.0, abs(primal))
     return SolveStatus(Status.OPTIMAL if kkt <= 1e-7
                        else Status.NUMERICAL_FAILURE, objective=primal, x=x,

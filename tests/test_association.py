@@ -100,13 +100,20 @@ def log_uniform_times(n, m, seed, lo=1e-3, hi=1e3):
 def highs(times):
     """The relaxed LP solved by HiGHS, an LP solver that shares no code
     with the product, with feasibility tolerances tighter than its 1e-7
-    defaults, at which it can stop 4e-9 relative above the optimum."""
-    prog = association.relaxed_lp(times)
+    defaults, at which it can stop 4e-9 relative above the optimum.
+
+    HiGHS solves it on the times scaled as ``solve_relaxed`` scales them,
+    to an LP value in [1, M], where its absolute tolerances act as
+    relative ones; ``fun`` is divided back to the units of ``times``.
+    """
+    scale = times.shape[1] / times.min(axis=1).sum()
+    prog = association.relaxed_lp(times * scale)
     ref = linprog(prog.c, A_ub=prog.a_ub, b_ub=prog.b_ub, A_eq=prog.a_eq,
                   b_eq=prog.b_eq, method="highs",
                   options=dict(primal_feasibility_tolerance=1e-10,
                                dual_feasibility_tolerance=1e-10))
     assert ref.status == 0
+    ref.fun /= scale
     return ref
 
 
@@ -254,6 +261,41 @@ class TestPricedStart:
         # relative above the optimum, (4e-4 + 3e-13) / (1 + 1e-4 + 1e-9),
         # which both the product and HiGHS reach to the last bit
         frac, mu = association.solve_relaxed(times)
+        assert_lp_optimum(times, frac, mu, highs(times).fun)
+
+    def test_small_times_match_highs(self):
+        # on the unscaled times, HiGHS's absolute tolerances let it end
+        # 1.05e-9 relative below the optimum of this draw
+        times = log_uniform_times(7, 7, 3568891102, lo=7.622082408915648e-05,
+                                  hi=28453.8888832141)
+        assert_dual_optimal(times, association.dual_prices(times))
+        frac, mu = association.solve_relaxed(times)
+        assert_lp_optimum(times, frac, mu, highs(times).fun)
+
+    def test_certificate_factors_at_most_2m_rows(self):
+        # a generic draw's optimal basis splits at most M - 1 UEs, so all
+        # but at most 2M - 1 of its N + M rows are singletons: no dense
+        # factorization exceeds 2M rows, and with no pivot taken the gap
+        # check's dual point reuses basis_start's B^-1 rather than an LU
+        # solve of the final basis
+        times = log_uniform_times(400, 10, 5)
+        factored = []
+        inv, solve = np.linalg.inv, np.linalg.solve
+
+        def spy_inv(x):
+            factored.append(("inv", len(x)))
+            return inv(x)
+
+        def spy_solve(x, y):
+            factored.append(("solve", len(x)))
+            return solve(x, y)
+
+        with mock.patch.object(np.linalg, "inv", spy_inv), \
+                mock.patch.object(np.linalg, "solve", spy_solve):
+            (frac, mu), calls = captured_lps(times)
+        assert [res.iterations for _, _, res in calls] == [0]
+        assert factored and all(name == "inv" and rows <= 20
+                                for name, rows in factored)
         assert_lp_optimum(times, frac, mu, highs(times).fun)
 
     @pytest.mark.parametrize("seed", [2, 3])

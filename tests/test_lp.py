@@ -1,8 +1,10 @@
 """Simplex solver: hand-checkable programs from a starting basis, status
-reporting, duality, and agreement of the two-phase reference with an
-independent LP solver on random instances."""
+reporting, duality, the factorization of a starting basis, and agreement
+of the two-phase reference with an independent LP solver on random
+instances."""
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -208,3 +210,58 @@ class TestStartingBasis:
         assert np.array_equal(warm.x, ref.x)
         assert warm.objective == ref.objective == pytest.approx(
             cold.objective, abs=1e-12)
+
+
+def singleton_matrix(m, singles, seed):
+    """A random m x m matrix, condition number about 10, of which
+    ``singles`` rows have one nonzero each, rows and columns shuffled."""
+    rng = np.random.default_rng(seed)
+    bmat = rng.normal(size=(m, m)) + m * np.eye(m)
+    bmat[:singles] = 0.0
+    bmat[np.arange(singles), np.arange(singles)] = rng.choice(
+        [-1.0, 1.0], singles) * rng.uniform(0.5, 2.0, singles)
+    return bmat[rng.permutation(m)][:, rng.permutation(m)]
+
+
+class TestBasisFactor:
+    """basis_start forms B^-1 by eliminating row singletons first when
+    they are more than half of the rows, and inverts B whole otherwise."""
+
+    @pytest.mark.parametrize("singles", [0, 4, 10, 11, 16, 19, 20])
+    def test_matches_dense_inverse(self, singles):
+        m = 20
+        bmat = singleton_matrix(m, singles, seed=singles)
+        inv = np.linalg.inv
+        sizes = []
+
+        def spy(x):
+            sizes.append(len(x))
+            return inv(x)
+
+        with mock.patch.object(np.linalg, "inv", spy):
+            sim = basis_start(bmat, bmat @ np.ones(m), np.arange(m))
+        eye = np.eye(m)
+        assert np.linalg.norm(sim.binv @ bmat - eye, np.inf) <= 1e-12
+        assert np.linalg.norm(sim.binv - inv(bmat), np.inf) <= 1e-12
+        # only the rows and columns left after the elimination are
+        # factored densely
+        assert sizes == [m - singles if 2 * singles > m else m]
+
+    @pytest.mark.parametrize("bmat", [
+        # rows 0 and 1 are singletons on one column
+        [[2.0, 0.0, 0.0], [3.0, 0.0, 0.0], [1.0, 1.0, 1.0]],
+        # column 2 is zero
+        [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 0.0]],
+        # the rest after eliminating rows 0-2 is [[1, 2], [2, 4]]
+        [[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0],
+         [0.0, 0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0, 2.0],
+         [0.0, 1.0, 0.0, 2.0, 4.0]],
+        # a singleton of 1e-13: condition number 3e13
+        [[1e-13, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]],
+    ], ids=["shared-column", "zero-column", "singular-rest",
+            "ill-conditioned"])
+    def test_singular_basis_rejected(self, bmat):
+        bmat = np.array(bmat)
+        m = len(bmat)
+        assert 2 * np.sum(np.count_nonzero(bmat, axis=1) == 1) > m
+        assert basis_start(bmat, bmat @ np.ones(m), np.arange(m)) is None
