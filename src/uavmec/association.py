@@ -11,7 +11,7 @@ whose upper bounds a_ij <= 1 are implied by the row-sum equalities.
 Its dual is M-dimensional: max over prices lambda in the simplex of
 sum_i min_j lambda_j t_ij. Dantzig-Wolfe column generation finds the
 optimal prices on an (M+1)-row master LP whatever N is, run on the
-revised simplex of ``lp`` with raw columns appended. Pricing is
+revised simplex of ``lp`` with raw columns appended in place. Pricing is
 smoothed (Wentges 1997): each column is priced at a point between the
 master's prices and those of the best Lagrangian bound so far, or at
 the master's own prices where that point misprices. It stops when the
@@ -21,8 +21,9 @@ prices. By complementary slackness they name a starting basis (mu,
 each UE's cheapest UAV at those prices, the slacks of unpriced load
 rows, and the other pairs closest to a tie that fill it to N + M
 columns), and one ``solve_lp`` call on the full LP runs phase 2 from
-it. At a nondegenerate optimum that basis is already optimal, so the
-call costs no pivot and only certifies it. Where degeneracy (such as
+it, reading the LP's blocks where ``relaxed_lp`` built them. At a
+nondegenerate optimum that basis is already optimal, so the call costs
+no pivot and only certifies it. Where degeneracy (such as
 co-located UEs) leaves it singular or infeasible, phase 2 starts from
 the fastest-UAV vertex, which is always feasible and well conditioned.
 Both run on the times scaled to an LP value in [1, M], where the
@@ -135,10 +136,12 @@ def dual_prices(times):
     # start at w_0 = 1: mu takes the row of the top load, slacks the rest
     master = basis_start(a, b, [0] + [1 + j for j in range(m) if j != top]
                          + [m + 1])
-    c = np.zeros(m + 2)
-    c[0] = 1.0
+    # the objective is mu alone; run and duals read its leading columns
+    costs = np.zeros(m + 2 + _MAX_COLUMNS)
+    costs[0] = 1.0
     for _ in range(_MAX_COLUMNS):
         before = master.iterations
+        c = costs[:master.a.shape[1]]
         if master.run(c, 200 * sum(master.a.shape)) is not Status.OPTIMAL:
             break
         value = c[master.basis] @ master.xb
@@ -157,7 +160,6 @@ def dual_prices(times):
         if value - bound <= _DW_GAP * value or stalled:
             break
         master.add_column(np.append(loads, 1.0))
-        c = np.append(c, 0.0)
     return stab
 
 

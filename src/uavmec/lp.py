@@ -6,7 +6,10 @@ bases=...)``, checked by ``basis_start``); there is no phase 1.
 
 The simplex state is the basis, B^-1 and x_B (``Simplex``): each pivot
 prices the original columns with the multipliers c_B B^-1, forms only
-the entering column B^-1 a_q, and updates B^-1 and x_B. Pivoting is
+the entering column B^-1 a_q, and updates B^-1 and x_B. ``solve_lp``
+reads those columns from the LP's own blocks through ``EqualityView``
+rather than a copy of the equality form; basis indices still count the
+columns of [x | slacks of the a_ub rows], a_ub rows first. Pivoting is
 Dantzig's rule with lowest-index tie-breaks, switching permanently to
 Bland's rule after a run of degenerate pivots, so the method is
 deterministic and cannot cycle. An optimal return carries the dual point
@@ -74,12 +77,43 @@ class LinearProgram:
             raise ValueError("a_eq/b_eq dimensions inconsistent with c")
 
 
+class EqualityView:
+    """The equality form [[a_ub, I], [a_eq, 0]] of an LP, read in place.
+
+    It supplies all that ``Simplex`` reads of a dense matrix: ``shape``,
+    the columns ``[:, j]`` and ``[:, indices]`` as arrays, and the pricing
+    product ``y @ view`` = (y_ub a_ub + y_eq a_eq, y_ub).
+    """
+
+    __array_ufunc__ = None     # ndarray @ view defers to __rmatmul__
+
+    def __init__(self, a_ub, a_eq):
+        self.a_ub, self.a_eq = a_ub, a_eq
+        self.shape = (len(a_ub) + len(a_eq), a_ub.shape[1] + len(a_ub))
+
+    def __getitem__(self, key):
+        flat = np.ravel(key[1])
+        m_ub, n = self.a_ub.shape
+        out = np.zeros((self.shape[0], flat.size))
+        x = flat < n
+        out[:m_ub, x] = self.a_ub[:, flat[x]]
+        out[m_ub:, x] = self.a_eq[:, flat[x]]
+        out[flat[~x] - n, np.flatnonzero(~x)] = 1.0
+        return out.reshape((self.shape[0],) + np.shape(key[1]))
+
+    def __rmatmul__(self, y):
+        m_ub = self.a_ub.shape[0]
+        return np.concatenate([y[:m_ub] @ self.a_ub + y[m_ub:] @ self.a_eq,
+                               y[:m_ub]])
+
+
 class Simplex:
     """Revised simplex on the equality form  A y = b, b >= 0.
 
     The state is the basis, B^-1 and x_B = B^-1 b; pricing reads the
-    original columns ``a``, to which a caller may append columns between
-    runs (``add_column``).
+    original columns ``a``, a dense array or an ``EqualityView`` (whose
+    indices count the columns of [x | slacks]). A caller may append
+    columns to a dense ``a`` between runs (``add_column``).
     """
 
     def __init__(self, a, binv, xb, basis):
@@ -90,18 +124,27 @@ class Simplex:
         self.degenerate_run = 0
         self.use_bland = False
         self.iterations = 0
+        self._store = a          # the buffer whose leading columns a views
 
     def duals(self, c):
         """The simplex multipliers c_B B^-1 for objective c."""
         return c[self.basis] @ self.binv
 
     def add_column(self, col):
-        self.a = np.column_stack([self.a, col])
+        """Append ``col`` to a dense ``a``. The columns live in a buffer
+        that doubles when full, so k appends copy O(k) columns in all."""
+        m, k = self.a.shape
+        if self.a.base is not self._store or k == self._store.shape[1]:
+            self._store = np.empty((m, 2 * k))
+            self._store[:, :k] = self.a
+        self._store[:, k] = col
+        self.a = self._store[:, :k + 1]
 
     def run(self, c, max_iter):
         """Primal simplex on the current basis for objective c (full length)."""
         a, xb, basis = self.a, self.xb, self.basis
         m = a.shape[0]
+        ratios = np.empty(m)
         while True:
             if self.iterations >= max_iter:
                 return Status.ITER_LIMIT
@@ -113,22 +156,21 @@ class Simplex:
                     return Status.OPTIMAL
                 enter = cand[0]
             else:
-                enter = int(np.argmax(z))
+                enter = int(z.argmax())
                 if z[enter] <= 1e-10:
                     return Status.OPTIMAL
             col = self.binv @ a[:, enter]
             pos = col > 1e-10
-            if not np.any(pos):
+            if not pos.any():
                 return Status.UNBOUNDED
-            ratios = np.full(m, np.inf)
-            ratios[pos] = xb[pos] / col[pos]
-            rmin = ratios.min()
+            ratios.fill(np.inf)
+            np.divide(xb, col, out=ratios, where=pos)
+            leave = int(ratios.argmin())
+            rmin = ratios[leave]
             if self.use_bland:
                 # leaving: smallest basis index among the min-ratio rows
                 rows = np.flatnonzero(ratios <= rmin + 1e-12)
                 leave = rows[np.argmin(basis[rows])]
-            else:
-                leave = int(np.argmin(ratios))
             if rmin <= 1e-12:
                 self.degenerate_run += 1
                 if self.degenerate_run > 2 * (m + a.shape[1]):
@@ -140,15 +182,14 @@ class Simplex:
 
     def pivot(self, row, enter, col):
         """Basis change: column ``enter``, whose B^-1 a is ``col``, replaces
-        the basic variable of ``row``."""
+        the basic variable of ``row``. ``col`` is overwritten."""
         binv, xb = self.binv, self.xb
         piv = col[row]
         binv[row] /= piv
         xb[row] /= piv
-        factors = col.copy()
-        factors[row] = 0.0
-        binv -= np.outer(factors, binv[row])
-        xb -= factors * xb[row]
+        col[row] = 0.0
+        binv -= col[:, None] * binv[row]
+        xb -= col * xb[row]
         np.maximum(xb, 0.0, out=xb)
         self.basis[row] = enter
 
@@ -222,24 +263,15 @@ def basis_start(a, b, basis):
     return Simplex(a, binv, np.maximum(xb, 0.0), basis.copy())
 
 
-def equality_form(lp: LinearProgram):
-    """(a, b) of ``lp`` as  a y = b, y >= 0, over the columns
-    [x | slacks of the a_ub rows], a_ub rows first."""
-    n, m_ub = lp.c.size, lp.b_ub.size
-    a = np.zeros((m_ub + lp.b_eq.size, n + m_ub))
-    a[:m_ub, :n] = lp.a_ub
-    a[:m_ub, n:] = np.eye(m_ub)
-    a[m_ub:, :n] = lp.a_eq
-    return a, np.concatenate([lp.b_ub, lp.b_eq])
-
-
 def solve_lp(lp: LinearProgram, bases) -> SolveStatus:
     """Minimize ``lp`` over x >= 0 by phase 2 from a known feasible basis.
 
     ``bases`` names starting bases in order of preference, each one index
-    per row (a_ub rows first) into the columns of ``equality_form``. The
-    simplex pivots from the first that ``basis_start`` accepts; if it
-    accepts none, the result is a numerical failure.
+    per row (a_ub rows first) into the columns [x | slacks of the a_ub
+    rows]. The simplex reads those columns from ``lp.a_ub`` and
+    ``lp.a_eq`` in place (``EqualityView``) and pivots from the first
+    basis that ``basis_start`` accepts; if it accepts none, the result is
+    a numerical failure.
 
     Phase 2 takes at most 200 pivots per row and column of the equality
     form; an optimum whose primal-dual gap exceeds 1e-7 (relative to
@@ -249,7 +281,8 @@ def solve_lp(lp: LinearProgram, bases) -> SolveStatus:
     ``basis_start`` formed is that factorization and pi = c_B B^-1;
     after pivots, one LU solve.
     """
-    a, b = equality_form(lp)
+    a = EqualityView(lp.a_ub, lp.a_eq)
+    b = np.concatenate([lp.b_ub, lp.b_eq])
     for basis in bases:
         sim = basis_start(a, b, basis)
         if sim is not None:

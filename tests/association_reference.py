@@ -1,12 +1,24 @@
 """Reference implementations of the association step, kept for tests to
-compare the product path against: the two-phase simplex, which needs no
+compare the product path against: the dense equality form, which
+``lp.EqualityView`` reads in place; the two-phase simplex, which needs no
 starting basis; the relaxed LP solved cold by it on the full program; and
 rounding by a per-row loop."""
 
 import numpy as np
 
 from uavmec import association
-from uavmec.lp import Simplex, SolveStatus, Status, equality_form
+from uavmec.lp import Simplex, SolveStatus, Status
+
+
+def equality_form(lp):
+    """(a, b) of ``lp`` as  a y = b, y >= 0, over the columns
+    [x | slacks of the a_ub rows], a_ub rows first, as dense arrays."""
+    n, m_ub = lp.c.size, lp.b_ub.size
+    a = np.zeros((m_ub + lp.b_eq.size, n + m_ub))
+    a[:m_ub, :n] = lp.a_ub
+    a[:m_ub, n:] = np.eye(m_ub)
+    a[m_ub:, :n] = lp.a_eq
+    return a, np.concatenate([lp.b_ub, lp.b_eq])
 
 
 def two_phase(lp):

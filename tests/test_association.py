@@ -1,5 +1,6 @@
 """Association step: service-time matrix, relaxed LP, and rounding."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
-from association_reference import cold_relaxed, round_rows
+from association_reference import cold_relaxed, equality_form, round_rows
 from uavmec import association, channel, oracle
-from uavmec.lp import Simplex, Status, basis_start, equality_form, solve_lp
+from uavmec.lp import Simplex, Status, basis_start, solve_lp
 from uavmec.optimizer import Deployment, kmeans
 from uavmec.scenario import FleetConfig, Scenario, Ue, generate
 from uavmec.channel import ChannelParams
@@ -297,6 +298,21 @@ class TestPricedStart:
         assert factored and all(name == "inv" and rows <= 20
                                 for name, rows in factored)
         assert_lp_optimum(times, frac, mu, highs(times).fun)
+
+    def test_peak_memory_stays_near_the_constraint_matrix(self):
+        # the simplex reads relaxed_lp's blocks in place: beside its
+        # N x NM a_eq (80 MB at 1000 x 10) a solve holds only O(N^2)
+        # arrays (basis gathers, B^-1), where a dense copy of the
+        # equality form took the peak to 2.3 a_eq
+        times = log_uniform_times(1000, 10, 0)
+        association.solve_relaxed(times)
+        tracemalloc.start()
+        try:
+            association.solve_relaxed(times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * association.relaxed_lp(times).a_eq.nbytes
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_colocated_small_times_match_highs(self, seed):

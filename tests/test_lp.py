@@ -1,7 +1,8 @@
 """Simplex solver: hand-checkable programs from a starting basis, status
-reporting, duality, the factorization of a starting basis, and agreement
-of the two-phase reference with an independent LP solver on random
-instances."""
+reporting, duality, the factorization of a starting basis, the in-place
+view of the equality form, columns appended to a dense simplex, and
+agreement of the two-phase reference with an independent LP solver on
+random instances."""
 
 from itertools import combinations
 from unittest import mock
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from association_reference import two_phase
-from uavmec.lp import (LinearProgram, Status, basis_start, equality_form,
+from association_reference import equality_form, two_phase
+from uavmec.association import relaxed_lp
+from uavmec.lp import (EqualityView, LinearProgram, Status, basis_start,
                        solve_lp)
 
 
@@ -92,8 +94,10 @@ def test_dimension_mismatch_rejected():
         LinearProgram(c=[1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_matches_reference_solver_on_random_lps(seed):
+def bounded_draw(seed):
+    """(c, a_ub, b_ub, hi) of a random LP  min c.x  s.t.  a_ub x <= b_ub,
+    0 <= x <= hi, and the LinearProgram that states x <= hi as identity
+    rows of a_ub."""
     rng = np.random.default_rng(seed)
     n = rng.integers(2, 7)
     m = rng.integers(1, 6)
@@ -102,10 +106,30 @@ def test_matches_reference_solver_on_random_lps(seed):
     # keep a point (the all-ones vector) feasible so most draws are solvable
     b_ub = a_ub @ np.ones(n) + rng.uniform(0.1, 2.0, size=m)
     hi = rng.uniform(2.0, 6.0, size=n)
-    # x <= hi as identity rows of a_ub
-    res = two_phase(LinearProgram(c=c, a_ub=np.vstack([a_ub, np.eye(n)]),
-                                  b_ub=np.concatenate([b_ub, hi])))
-    ref = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=list(zip(np.zeros(n), hi)),
+    return (c, a_ub, b_ub, hi), LinearProgram(
+        c=c, a_ub=np.vstack([a_ub, np.eye(n)]),
+        b_ub=np.concatenate([b_ub, hi]))
+
+
+def equality_draw(seed):
+    """(c, a_eq, b_eq) of a random LP  min c.x  s.t.  a_eq x = b_eq,
+    0 <= x <= 5, and the LinearProgram that states x <= 5 as a_ub rows."""
+    rng = np.random.default_rng(100 + seed)
+    n = rng.integers(3, 7)
+    c = rng.normal(size=n)
+    a_eq = rng.normal(size=(1, n))
+    x_feas = rng.uniform(0.5, 1.5, size=n)
+    b_eq = a_eq @ x_feas
+    return (c, a_eq, b_eq), LinearProgram(
+        c=c, a_ub=np.eye(n), b_ub=np.full(n, 5.0), a_eq=a_eq, b_eq=b_eq)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_matches_reference_solver_on_random_lps(seed):
+    (c, a_ub, b_ub, hi), prog = bounded_draw(seed)
+    res = two_phase(prog)
+    ref = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=list(zip(np.zeros(c.size),
+                                                           hi)),
                   method="highs")
     assert ref.status == 0
     assert res.status is Status.OPTIMAL
@@ -119,15 +143,9 @@ def test_matches_reference_solver_on_random_lps(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_matches_reference_solver_with_equalities(seed):
-    rng = np.random.default_rng(100 + seed)
-    n = rng.integers(3, 7)
-    c = rng.normal(size=n)
-    a_eq = rng.normal(size=(1, n))
-    x_feas = rng.uniform(0.5, 1.5, size=n)
-    b_eq = a_eq @ x_feas
-    res = two_phase(LinearProgram(c=c, a_ub=np.eye(n), b_ub=np.full(n, 5.0),
-                                  a_eq=a_eq, b_eq=b_eq))
-    ref = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, 5.0)] * n,
+    (c, a_eq, b_eq), prog = equality_draw(seed)
+    res = two_phase(prog)
+    ref = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, 5.0)] * c.size,
                   method="highs")
     assert ref.status == 0
     assert res.status is Status.OPTIMAL
@@ -265,3 +283,117 @@ class TestBasisFactor:
         m = len(bmat)
         assert 2 * np.sum(np.count_nonzero(bmat, axis=1) == 1) > m
         assert basis_start(bmat, bmat @ np.ones(m), np.arange(m)) is None
+
+
+# the LPs above, a relaxed association LP, and LPs without <= or = rows
+VIEW_PROGRAMS = {
+    "minmax": LinearProgram(**MINMAX),
+    "cert": LinearProgram(**CERT),
+    **{f"bounded-{seed}": bounded_draw(seed)[1] for seed in range(3)},
+    **{f"equality-{seed}": equality_draw(seed)[1] for seed in range(3)},
+    "relaxed": relaxed_lp(np.random.default_rng(0).uniform(0.5, 2.0,
+                                                           (30, 4))),
+    "no-ub-rows": LinearProgram(c=[1.0, 2.0, 3.0],
+                                a_eq=[[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]],
+                                b_eq=[1.0, 1.0]),
+    "no-eq-rows": LinearProgram(c=[1.0, -1.0], a_ub=[[1.0, 2.0]],
+                                b_ub=[3.0]),
+}
+
+
+@pytest.mark.parametrize("prog", VIEW_PROGRAMS.values(),
+                         ids=VIEW_PROGRAMS.keys())
+class TestEqualityView:
+    """EqualityView reads the LP's blocks as the dense equality form
+    reads: its columns to the bit, and y @ A to the rounding of a dot
+    product. The product sums y_ub a_ub and y_eq a_eq apart, and the BLAS
+    behind ``@`` rounds one dot product differently at different matrix
+    widths (on CERT, y @ a and y @ a[:, :2] differ by 1.1e-16), so only
+    the slack part, y_ub itself, is exact."""
+
+    def test_reads_like_the_dense_form(self, prog):
+        a, _ = equality_form(prog)
+        view = EqualityView(prog.a_ub, prog.a_eq)
+        assert view.shape == a.shape
+        for j in range(a.shape[1]):
+            assert np.array_equal(view[:, j], a[:, j])
+        n, m_ub = prog.c.size, prog.b_ub.size
+        # each of the two products is within m eps |y| |a| of the exact one
+        tol = 2 * a.shape[0] * np.finfo(float).eps
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            cols = rng.integers(0, a.shape[1], size=a.shape[0])
+            assert np.array_equal(view[:, cols], a[:, cols])
+            y = rng.normal(size=a.shape[0])
+            priced = y @ view
+            assert np.array_equal(priced[n:], y[:m_ub])
+            assert np.all(np.abs(priced - y @ a)
+                          <= tol * (np.abs(y) @ np.abs(a)))
+
+    def test_basis_start_agrees(self, prog):
+        a, b = equality_form(prog)
+        view = EqualityView(prog.a_ub, prog.a_eq)
+        m, n = a.shape
+        rng = np.random.default_rng(1)
+        bases = [rng.permutation(n)[:m] for _ in range(10)] + [
+            np.r_[np.arange(m - 1), n],          # out of range
+            np.r_[np.arange(m - 1), -1],
+            np.arange(m - 1),                    # wrong size
+        ]
+        for basis in bases:
+            dense = basis_start(a, b, basis)
+            lazy = basis_start(view, b, basis)
+            assert (dense is None) == (lazy is None)
+            if dense is not None:
+                assert np.array_equal(lazy.binv, dense.binv)
+                assert np.array_equal(lazy.xb, dense.xb)
+                assert np.array_equal(lazy.basis, dense.basis)
+
+
+def grown_simplex(a, b, k):
+    """The simplex state of ``a y = b`` at the unit basis of its first m
+    columns, started on the first k columns with the rest appended one
+    at a time."""
+    m = a.shape[0]
+    sim = basis_start(a[:, :k], b, np.arange(m))
+    for j in range(k, a.shape[1]):
+        sim.add_column(a[:, j])
+    return sim
+
+
+class TestAddColumn:
+    def test_columns_read_back_across_doublings(self):
+        rng = np.random.default_rng(0)
+        a = np.hstack([np.eye(3), rng.normal(size=(3, 60))])
+        # 4 columns at first: the storage doubles at 8, 16, 32 and 64
+        sim = grown_simplex(a, np.ones(3), 4)
+        assert np.array_equal(sim.a, a)
+
+    def test_grown_simplex_runs_like_the_whole_matrix(self):
+        rng = np.random.default_rng(1)
+        m = 6
+        a = np.hstack([np.eye(m), rng.uniform(0.0, 1.0, size=(m, 60))])
+        b = rng.uniform(1.0, 2.0, size=m)
+        c = np.r_[np.zeros(m), -rng.uniform(0.5, 1.5, size=60)]
+        whole = basis_start(a, b, np.arange(m))
+        grown = grown_simplex(a, b, m + 1)
+        assert whole.run(c, 10_000) is grown.run(c, 10_000) is Status.OPTIMAL
+        assert grown.iterations == whole.iterations > 0
+        assert np.array_equal(grown.basis, whole.basis)
+        assert np.array_equal(grown.xb, whole.xb)
+        assert np.array_equal(grown.duals(c), whole.duals(c))
+
+    def test_appends_reallocate_logarithmically_often(self):
+        # the data pointer of ``a`` changes only where the storage is
+        # reallocated; a copy per append would move it 10 000 times
+        sim = basis_start(np.eye(2), np.ones(2), [0, 1])
+        col = np.array([1.0, 2.0])
+        moves, where = 0, sim.a.__array_interface__["data"][0]
+        for _ in range(10_000):
+            sim.add_column(col)
+            now = sim.a.__array_interface__["data"][0]
+            moves += now != where
+            where = now
+        assert sim.a.shape == (2, 10_002)
+        assert np.array_equal(sim.a[:, 2:], np.tile(col[:, None], 10_000))
+        assert moves <= np.log2(10_000) + 1

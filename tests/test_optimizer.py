@@ -8,9 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from association_reference import cold_relaxed
+from association_reference import cold_relaxed, equality_form
 from uavmec import association, channel, lp, oracle, placement
-from uavmec.lp import basis_start, equality_form, solve_lp
+from uavmec.lp import basis_start, solve_lp
 from uavmec.optimizer import (Deployment, OptimizerConfig, completion_time,
                               kmeans, solve, solve_clbo, solve_hpo,
                               solve_proposed, solve_vpo)
