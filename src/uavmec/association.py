@@ -10,18 +10,22 @@ D_i / r_ij + F_i / f_max. The relaxed assignment problem is the LP
 whose upper bounds a_ij <= 1 are implied by the row-sum equalities.
 Its dual is M-dimensional: max over prices lambda in the simplex of
 sum_i min_j lambda_j t_ij. Dantzig-Wolfe column generation finds the
-optimal prices on an (M+1)-row master LP whatever N is, run on the
-revised simplex of ``lp`` with raw columns appended in place. Pricing is
-smoothed (Wentges 1997): each column is priced at a point between the
-master's prices and those of the best Lagrangian bound so far, or at
-the master's own prices where that point misprices. It stops when the
-master value is within 1e-13 relative of the best bound, or when the
-last column did not enter the master, and returns the best-bound
-prices. By complementary slackness they name a starting basis (mu,
-each UE's cheapest UAV at those prices, the slacks of unpriced load
-rows, and the other pairs closest to a tie that fill it to N + M
-columns), and one ``solve_lp`` call on the full LP runs phase 2 from
-it, reading the LP's blocks where ``relaxed_lp`` built them. At a
+optimal prices on a master LP with the M load rows and one convexity
+row per group of UEs that share a fastest UAV, so at most 2M rows
+whatever N is; each pricing gives one load column per group. Grouped
+columns combine independently, which converges in far fewer rounds
+than one convexity row over whole assignments. The master is small and
+dense, so it pivots on ``lp.Tableau`` under the pivot rule that the
+certifying simplex uses. Pricing is smoothed (Wentges 1997): each round
+prices at a point between the master's prices and those of the best
+Lagrangian bound so far, or at the master's own prices where that point
+misprices. It stops when the master value is within 1e-13 relative of
+the best bound, or when no new column enters the master, and returns
+the best-bound prices. By complementary slackness they name a starting
+basis (mu, each UE's cheapest UAV at those prices, the slacks of
+unpriced load rows, and the other pairs closest to a tie that fill it
+to N + M columns), and one ``solve_lp`` call on the full LP runs phase
+2 from it, reading the LP's blocks where ``relaxed_lp`` built them. At a
 nondegenerate optimum that basis is already optimal, so the call costs
 no pivot and only certifies it. Where degeneracy (such as
 co-located UEs) leaves it singular or infeasible, phase 2 starts from
@@ -39,10 +43,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import channel
-from .lp import LinearProgram, Status, basis_start, solve_lp
+from .lp import LinearProgram, Status, Tableau, solve_lp
 
 _DW_GAP = 1e-13          # relative master-minus-bound gap that ends pricing
-_MAX_COLUMNS = 10000     # pricing rounds at most; the simplex certifies anyway
+_MAX_ROUNDS = 10000      # pricing rounds at most; the simplex certifies anyway
 _SMOOTH = 0.8            # weight of the best-bound prices in the pricing point
 
 
@@ -90,76 +94,107 @@ def _argmin_loads(times, prices):
                        minlength=times.shape[1])
 
 
+def _group_loads(times, prices, group, size):
+    """(M, size) loads per UAV and group when each UE, of group
+    ``group[i]``, goes to its argmin_j prices_j t_ij."""
+    best = np.argmin(times * prices, axis=1)
+    m = times.shape[1]
+    return np.bincount(best * size + group,
+                       weights=times[np.arange(len(times)), best],
+                       minlength=m * size).reshape(m, size)
+
+
 def dual_prices(times):
     """Optimal prices lambda of the LP's load rows, a point of the simplex.
 
-    Dantzig-Wolfe column generation on the (M+1)-row master
+    Dantzig-Wolfe column generation on a master with one convexity row
+    per group of UEs that share a fastest UAV (argmin_j t_ij, G <= M
+    groups):
 
-        min mu  s.t.  sum_k w_k L_k <= mu 1,  sum_k w_k = 1,  w >= 0,
+        min mu  s.t.  sum_(g,k) w_gk L_gk <= mu 1,
+                      sum_k w_gk = 1  (each group g),  w >= 0,
 
-    whose columns L_k are the loads of argmin assignments. The master
-    value bounds the LP from above; a column's Lagrangian value
-    lambda . L (= sum_i min_j lambda_j t_ij) at the prices it was priced
-    at bounds it from below. The master stays warm: each new column is
-    appended as it is, and its prices rmp are the negated simplex
-    multipliers of its load rows.
+    whose columns L_gk are the loads of group g's UEs under argmin
+    assignments: M + G <= 2M rows whatever N is. One pricing at prices p
+    is one ``bincount`` that gives a load column for every group; its
+    Lagrangian value p . sum_g L_g (= sum_i min_j p_j t_ij) bounds the LP
+    from below, the master value from above. A master with one convexity
+    row combines whole assignments and converges much more slowly than
+    one that combines the groups' parts independently (Jones, Lustig,
+    Farvolden & Powell, Math. Programming 62, 1993). Grouping by fastest
+    UAV needs no prices and puts together UEs that tend to change UAV
+    together: at the optimum most UEs sit on their fastest UAV. The
+    master's prices rmp are the negated simplex multipliers of its load
+    rows, sigma_g those of its convexity rows; a group column enters
+    where its reduced cost rmp . L_g - sigma_g is below -1e-13 of the
+    master value.
 
     Pricing is smoothed against the tailing-off of the master's prices
     (Wentges, "Weighted Dantzig-Wolfe decomposition for linear mixed-
-    integer programming", ITOR 4(2), 1997): each column is priced at
+    integer programming", ITOR 4(2), 1997): each round prices at
     0.8 stab + 0.2 rmp, where stab holds the prices of the best bound so
-    far (at first the uniform prices of the first column). If that
-    column has no negative reduced cost at rmp (rmp . L >= value), the
-    smoothed point mispriced, and a column is priced at rmp itself.
-    Pricing stops when the master value is within 1e-13 relative of the
-    best bound, or when the last column did not enter the master (its
-    reduced cost was below the simplex's tolerance); before that second
-    stop the Lagrangian value of rmp is taken too. The returned prices
-    are stab, whose Lagrangian value is the best bound.
+    far (at first the uniform prices). If no column from that point
+    enters, the smoothed point mispriced, and the round prices at rmp
+    itself. Pricing stops when the master value is within 1e-13
+    relative of the best bound, when no column enters, or when the last
+    round's columns did not move the master (their reduced costs were
+    below the simplex's tolerance); before that last stop the Lagrangian
+    value of rmp is taken too. The returned prices are stab, whose
+    Lagrangian value is the best bound.
 
-    The simplex's tolerances are absolute, so ``times`` should be scaled
-    as ``solve_relaxed`` scales them, to an LP value in [1, M].
+    The master pivots on an ``lp.Tableau`` under the pivot rule of the
+    certifying simplex (``lp.PivotRule``). The simplex's tolerances are
+    absolute, so ``times`` should be scaled as ``solve_relaxed`` scales
+    them, to an LP value in [1, M].
     """
-    n, m = times.shape
+    m = times.shape[1]
+    fastest = np.argmin(times, axis=1)
+    present = np.bincount(fastest, minlength=m) > 0
+    # groups numbered by fastest UAV, skipping the UAVs that are no UE's
+    group = (np.cumsum(present) - 1)[fastest]
+    size = int(np.count_nonzero(present))
     stab = np.full(m, 1.0 / m)
-    loads = _argmin_loads(times, stab)
-    bound = stab @ loads
-    # columns: mu, the M load-row slacks, then one w_k per load vector;
-    # rows: the M load rows, then sum_k w_k = 1
-    a = np.zeros((m + 1, m + 2))
+    loads = _group_loads(times, stab, group, size)
+    bound = stab @ loads.sum(axis=1)
+    # columns: mu, the M load-row slacks, then the groups' load columns;
+    # rows: the M load rows, then one convexity row per group
+    unit = np.eye(size)
+    a = np.zeros((m + size, 1 + m + size))
     a[:m, 0] = -1.0
-    a[:m, 1:m + 1] = np.eye(m)
-    a[:, -1] = np.append(loads, 1.0)
-    b = np.zeros(m + 1)
-    b[m] = 1.0
-    top = int(np.argmax(loads))
-    # start at w_0 = 1: mu takes the row of the top load, slacks the rest
-    master = basis_start(a, b, [0] + [1 + j for j in range(m) if j != top]
-                         + [m + 1])
-    # the objective is mu alone; run and duals read its leading columns
-    costs = np.zeros(m + 2 + _MAX_COLUMNS)
-    costs[0] = 1.0
-    for _ in range(_MAX_COLUMNS):
+    a[:m, 1:] = np.concatenate((np.eye(m), loads), axis=1)
+    a[m:, 1 + m:] = unit
+    b = np.r_[np.zeros(m), np.ones(size)]
+    c = np.zeros(a.shape[1])
+    c[0] = 1.0
+    top = int(np.argmax(loads.sum(axis=1)))
+    # start at the first columns: mu takes the row of the top load,
+    # slacks the rest
+    master = Tableau(a, b, c, [0] + [1 + j for j in range(m) if j != top]
+                     + list(range(m + 1, m + 1 + size)))
+    for rounds in range(_MAX_ROUNDS):
         before = master.iterations
-        c = costs[:master.a.shape[1]]
-        if master.run(c, 200 * sum(master.a.shape)) is not Status.OPTIMAL:
+        if master.run(200 * sum(master.t.shape)) is not Status.OPTIMAL:
             break
-        value = c[master.basis] @ master.xb
-        rmp = -master.duals(c)[:m]
-        stalled = c.size > m + 2 and master.iterations == before
+        value = master.value
+        rmp, sigma = -master.duals[:m], master.duals[m:]
+        stalled = rounds > 0 and master.iterations == before
         smoothed = _SMOOTH * stab + (1.0 - _SMOOTH) * rmp
-        # price at the smoothed point, and at rmp itself where that column
-        # has no negative reduced cost at rmp (a mispricing) or on a stall
+        # price at the smoothed point, and at rmp itself where no column
+        # of that point has a negative reduced cost at rmp (a mispricing)
+        # or on a stall
         for point in ((rmp,) if stalled else (smoothed, rmp)):
-            loads = _argmin_loads(times, point)
-            if point @ loads > bound:
-                stab, bound = point, point @ loads
-            if rmp @ loads < value * (1.0 - _DW_GAP):
+            loads = _group_loads(times, point, group, size)
+            lagrangian = point @ loads.sum(axis=1)
+            if lagrangian > bound:
+                stab, bound = point, lagrangian
+            enter = rmp @ loads < sigma - _DW_GAP * value
+            if enter.any():
                 break
-        # stop at the optimum, or when the last column did not enter
-        if value - bound <= _DW_GAP * value or stalled:
+        # stop at the optimum, when no column enters, or when the last
+        # columns did not enter
+        if value - bound <= _DW_GAP * value or stalled or not enter.any():
             break
-        master.add_column(np.append(loads, 1.0))
+        master.add_columns(np.concatenate((loads, unit))[:, enter])
     return stab
 
 

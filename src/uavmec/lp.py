@@ -1,20 +1,26 @@
-"""Phase-2 revised simplex for LPs with a known feasible basis.
+"""Phase-2 simplex for LPs with a known feasible basis.
 
 Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0,  starting
 from a basic feasible solution that the caller names (``solve_lp(lp,
 bases=...)``, checked by ``basis_start``); there is no phase 1.
 
-The simplex state is the basis, B^-1 and x_B (``Simplex``): each pivot
-prices the original columns with the multipliers c_B B^-1, forms only
-the entering column B^-1 a_q, and updates B^-1 and x_B. ``solve_lp``
-reads those columns from the LP's own blocks through ``EqualityView``
-rather than a copy of the equality form; basis indices still count the
-columns of [x | slacks of the a_ub rows], a_ub rows first. Pivoting is
-Dantzig's rule with lowest-index tie-breaks, switching permanently to
-Bland's rule after a run of degenerate pivots, so the method is
-deterministic and cannot cycle. An optimal return carries the dual point
-of the final basis, factored afresh from its original columns; the
-reported kkt_residual is the primal-dual objective gap.
+Two simplex loops share one pivot rule (``PivotRule``): Dantzig's rule
+with lowest-index tie-breaks, switching permanently to Bland's rule after
+a run of degenerate pivots, so both are deterministic and cannot cycle.
+
+- ``Simplex``, the revised simplex, solves the full LP. Its state is the
+  basis, B^-1 and x_B: each pivot prices the original columns with the
+  multipliers c_B B^-1, forms only the entering column B^-1 a_q, and
+  updates B^-1 and x_B. ``solve_lp`` reads those columns from the LP's
+  own blocks through ``EqualityView`` rather than a copy of the equality
+  form; basis indices still count the columns of [x | slacks of the a_ub
+  rows], a_ub rows first. An optimal return carries the dual point of
+  the final basis, factored afresh from its original columns; the
+  reported kkt_residual is the primal-dual objective gap.
+- ``Tableau`` pivots a small dense LP that grows by columns, the
+  association's Dantzig-Wolfe master, on [B^-1 b | B^-1 | B^-1 A] and
+  its objective row: a new column costs one matrix-vector product and a
+  pivot one rank-1 update.
 
 A starting basis whose rows are mostly singletons (one nonzero each) has
 them eliminated before the rest is factored densely, the first step of
@@ -107,13 +113,54 @@ class EqualityView:
                                y[:m_ub]])
 
 
+class PivotRule:
+    """The entering and leaving choice of both simplex loops (``Simplex``,
+    ``Tableau``): Dantzig's rule with lowest-index ties, switching for
+    good to Bland's rule after a run of degenerate pivots longer than
+    twice the rows and columns, so that the method cannot cycle."""
+
+    def __init__(self):
+        self.degenerate_run = 0
+        self.use_bland = False
+
+    def entering(self, z):
+        """The entering column for the reduced costs z = c_B B^-1 A - c
+        (zero at basic columns), or None at an optimum."""
+        if self.use_bland:
+            cand = np.flatnonzero(z > 1e-10)
+            return cand[0] if cand.size else None
+        enter = int(z.argmax())
+        return enter if z[enter] > 1e-10 else None
+
+    def leaving(self, xb, col, basis, width):
+        """The row whose basic variable leaves for an entering column
+        ``col`` = B^-1 a_q, by the ratio test on x_B, or None where no
+        row limits it (unbounded). ``width`` is the number of columns."""
+        pos = col > 1e-10
+        if not pos.any():
+            return None
+        ratios = np.where(pos, xb, np.inf) / np.maximum(col, 1e-10)
+        leave = int(ratios.argmin())
+        rmin = ratios[leave]
+        if self.use_bland:
+            # leaving: smallest basis index among the min-ratio rows
+            rows = np.flatnonzero(ratios <= rmin + 1e-12)
+            leave = rows[np.argmin(basis[rows])]
+        if rmin <= 1e-12:
+            self.degenerate_run += 1
+            if self.degenerate_run > 2 * (xb.size + width):
+                self.use_bland = True
+        else:
+            self.degenerate_run = 0
+        return leave
+
+
 class Simplex:
     """Revised simplex on the equality form  A y = b, b >= 0.
 
     The state is the basis, B^-1 and x_B = B^-1 b; pricing reads the
     original columns ``a``, a dense array or an ``EqualityView`` (whose
-    indices count the columns of [x | slacks]). A caller may append
-    columns to a dense ``a`` between runs (``add_column``).
+    indices count the columns of [x | slacks]).
     """
 
     def __init__(self, a, binv, xb, basis):
@@ -121,62 +168,28 @@ class Simplex:
         self.binv = binv
         self.xb = xb
         self.basis = basis
-        self.degenerate_run = 0
-        self.use_bland = False
+        self.rule = PivotRule()
         self.iterations = 0
-        self._store = a          # the buffer whose leading columns a views
 
     def duals(self, c):
         """The simplex multipliers c_B B^-1 for objective c."""
         return c[self.basis] @ self.binv
 
-    def add_column(self, col):
-        """Append ``col`` to a dense ``a``. The columns live in a buffer
-        that doubles when full, so k appends copy O(k) columns in all."""
-        m, k = self.a.shape
-        if self.a.base is not self._store or k == self._store.shape[1]:
-            self._store = np.empty((m, 2 * k))
-            self._store[:, :k] = self.a
-        self._store[:, k] = col
-        self.a = self._store[:, :k + 1]
-
     def run(self, c, max_iter):
         """Primal simplex on the current basis for objective c (full length)."""
-        a, xb, basis = self.a, self.xb, self.basis
-        m = a.shape[0]
-        ratios = np.empty(m)
+        a, basis = self.a, self.basis
         while True:
             if self.iterations >= max_iter:
                 return Status.ITER_LIMIT
             z = self.duals(c) @ a - c
             z[basis] = 0.0             # exactly, whatever B^-1's rounding
-            if self.use_bland:
-                cand = np.flatnonzero(z > 1e-10)
-                if cand.size == 0:
-                    return Status.OPTIMAL
-                enter = cand[0]
-            else:
-                enter = int(z.argmax())
-                if z[enter] <= 1e-10:
-                    return Status.OPTIMAL
+            enter = self.rule.entering(z)
+            if enter is None:
+                return Status.OPTIMAL
             col = self.binv @ a[:, enter]
-            pos = col > 1e-10
-            if not pos.any():
+            leave = self.rule.leaving(self.xb, col, basis, z.size)
+            if leave is None:
                 return Status.UNBOUNDED
-            ratios.fill(np.inf)
-            np.divide(xb, col, out=ratios, where=pos)
-            leave = int(ratios.argmin())
-            rmin = ratios[leave]
-            if self.use_bland:
-                # leaving: smallest basis index among the min-ratio rows
-                rows = np.flatnonzero(ratios <= rmin + 1e-12)
-                leave = rows[np.argmin(basis[rows])]
-            if rmin <= 1e-12:
-                self.degenerate_run += 1
-                if self.degenerate_run > 2 * (m + a.shape[1]):
-                    self.use_bland = True
-            else:
-                self.degenerate_run = 0
             self.pivot(leave, enter, col)
             self.iterations += 1
 
@@ -191,6 +204,78 @@ class Simplex:
         binv -= col[:, None] * binv[row]
         xb -= col * xb[row]
         np.maximum(xb, 0.0, out=xb)
+        self.basis[row] = enter
+
+
+class Tableau:
+    """Dense simplex tableau of  min c.y  s.t.  A y = b, y >= 0, for a
+    small LP that grows by columns of cost zero between runs.
+
+    With m rows, the array ``t`` holds [x_B | B^-1 | B^-1 A] in its first
+    m rows and the objective row [c_B x_B | c_B B^-1 | c_B B^-1 A - c]
+    below them: the objective value, the simplex multipliers and the
+    reduced costs that ``PivotRule`` reads. A pivot is one rank-1 update
+    of the whole array; a new column a costs one product of a with the
+    [B^-1; c_B B^-1] block, which gives both B^-1 a and its reduced
+    cost. A pivot leaves every basic column an exact unit vector with a
+    reduced cost of exactly zero. The starting basis must be feasible.
+    """
+
+    def __init__(self, a, b, c, basis):
+        m = len(b)
+        self.basis = np.array(basis)
+        binv = np.linalg.inv(a[:, self.basis])
+        self.t = t = np.empty((m + 1, 1 + m + a.shape[1]))
+        t[:m, 0] = binv @ b
+        t[:m, 1:1 + m] = binv
+        t[:m, 1 + m:] = binv @ a
+        t[m] = c[self.basis] @ t[:m]
+        t[m, 1 + m:] -= c
+        t[:, 1 + m + self.basis] = np.eye(m + 1, m)
+        self.rule = PivotRule()
+        self.iterations = 0
+
+    @property
+    def value(self):
+        """The objective value c_B x_B."""
+        return self.t[-1, 0]
+
+    @property
+    def duals(self):
+        """The simplex multipliers c_B B^-1."""
+        return self.t[-1, 1:len(self.t)]
+
+    def add_columns(self, cols):
+        """Append the columns ``cols`` (m x k) of A, each of cost zero."""
+        m = len(self.basis)
+        self.t = np.concatenate((self.t, self.t[:, 1:1 + m] @ cols), axis=1)
+
+    def run(self, max_iter):
+        """Primal simplex on the current basis."""
+        t, m = self.t, len(self.basis)
+        while True:
+            if self.iterations >= max_iter:
+                return Status.ITER_LIMIT
+            z = t[m, 1 + m:]
+            enter = self.rule.entering(z)
+            if enter is None:
+                return Status.OPTIMAL
+            leave = self.rule.leaving(t[:m, 0], t[:m, 1 + m + enter],
+                                      self.basis, z.size)
+            if leave is None:
+                return Status.UNBOUNDED
+            self.pivot(leave, enter)
+            self.iterations += 1
+
+    def pivot(self, row, enter):
+        """Basis change: column ``enter`` replaces the basic variable of
+        ``row``."""
+        t, m = self.t, len(self.basis)
+        col = 1 + m + enter
+        prow = t[row] / t[row, col]
+        t -= t[:, col, None] * prow
+        t[row] = prow
+        np.maximum(t[:m, 0], 0.0, out=t[:m, 0])
         self.basis[row] = enter
 
 

@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 
 from association_reference import cold_relaxed, equality_form, round_rows
 from uavmec import association, channel, oracle
-from uavmec.lp import Simplex, Status, basis_start, solve_lp
+from uavmec.lp import Status, Tableau, basis_start, solve_lp
 from uavmec.optimizer import Deployment, kmeans
 from uavmec.scenario import FleetConfig, Scenario, Ue, generate
 from uavmec.channel import ChannelParams
@@ -220,27 +220,35 @@ class TestPricedStart:
         assert_dual_optimal(times, association.dual_prices(times))
 
     def test_mispriced_column_is_priced_again_at_the_master_prices(self):
-        # a round prices its column at the smoothed point and, where that
-        # column has no negative reduced cost at the master's prices, once
-        # more at them: two pricings, then the second one's column
+        # a round prices at the smoothed point and, where no column of that
+        # point has a negative reduced cost at the master's prices, once
+        # more at them: two pricings, the second at the prices of the
+        # master's load rows, then the columns of the second
         events = []
-        argmin_loads = association._argmin_loads
-        add_column = Simplex.add_column
+        group_loads = association._group_loads
+        add_columns = Tableau.add_columns
 
-        def spy_loads(times, prices):
-            events.append("price")
-            return argmin_loads(times, prices)
+        def spy_loads(times, prices, group, size):
+            events.append(("price", prices.copy()))
+            return group_loads(times, prices, group, size)
 
-        def spy_column(self, col):
-            events.append("column")
-            add_column(self, col)
+        def spy_columns(self, cols):
+            events.append(("columns", -self.duals[:times.shape[1]]))
+            add_columns(self, cols)
 
         times = log_uniform_times(5, 3, 0)
-        with mock.patch.object(association, "_argmin_loads", spy_loads), \
-                mock.patch.object(Simplex, "add_column", spy_column):
+        with mock.patch.object(association, "_group_loads", spy_loads), \
+                mock.patch.object(Tableau, "add_columns", spy_columns):
             prices = association.dual_prices(times)
-        # the first pricing is the uniform prices' starting column
-        assert "price,price,column" in ",".join(events[1:])
+        names = [name for name, _ in events]
+        # the first pricing is the uniform prices' starting columns
+        twice = [k for k in range(1, len(events) - 2)
+                 if names[k:k + 3] == ["price", "price", "columns"]]
+        assert twice
+        for k in twice:
+            smoothed, rmp, master = (point for _, point in events[k:k + 3])
+            assert np.array_equal(rmp, master)
+            assert not np.array_equal(smoothed, rmp)
         assert_dual_optimal(times, prices)
 
     @given(st.integers(1, 60), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))

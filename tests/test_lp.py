@@ -1,8 +1,8 @@
 """Simplex solver: hand-checkable programs from a starting basis, status
 reporting, duality, the factorization of a starting basis, the in-place
-view of the equality form, columns appended to a dense simplex, and
-agreement of the two-phase reference with an independent LP solver on
-random instances."""
+view of the equality form, the pivot rule that the revised simplex and
+the tableau share, and agreement of the two-phase reference with an
+independent LP solver on random instances."""
 
 from itertools import combinations
 from unittest import mock
@@ -13,8 +13,8 @@ from scipy.optimize import linprog
 
 from association_reference import equality_form, two_phase
 from uavmec.association import relaxed_lp
-from uavmec.lp import (EqualityView, LinearProgram, Status, basis_start,
-                       solve_lp)
+from uavmec.lp import (EqualityView, LinearProgram, Simplex, Status, Tableau,
+                       basis_start, solve_lp)
 
 
 def test_basic_inequality():
@@ -350,50 +350,71 @@ class TestEqualityView:
                 assert np.array_equal(lazy.basis, dense.basis)
 
 
-def grown_simplex(a, b, k):
-    """The simplex state of ``a y = b`` at the unit basis of its first m
-    columns, started on the first k columns with the rest appended one
-    at a time."""
-    m = a.shape[0]
-    sim = basis_start(a[:, :k], b, np.arange(m))
-    for j in range(k, a.shape[1]):
-        sim.add_column(a[:, j])
-    return sim
+# Beale's cycling LP of test_degenerate_program_terminates in equality
+# form: Dantzig's rule cycles on it until the switch to Bland's rule
+BEALE = (np.array([[0.25, -60.0, -1.0 / 25.0, 9.0, 1.0, 0.0, 0.0],
+                   [0.5, -90.0, -1.0 / 50.0, 3.0, 0.0, 1.0, 0.0],
+                   [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]]),
+         np.array([0.0, 0.0, 1.0]),
+         np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0]))
 
 
-class TestAddColumn:
-    def test_columns_read_back_across_doublings(self):
-        rng = np.random.default_rng(0)
-        a = np.hstack([np.eye(3), rng.normal(size=(3, 60))])
-        # 4 columns at first: the storage doubles at 8, 16, 32 and 64
-        sim = grown_simplex(a, np.ones(3), 4)
-        assert np.array_equal(sim.a, a)
+def random_dense_lp(seed):
+    """(a, b, c) of  min c.y  s.t.  a y = b, y >= 0  with a unit basis of
+    cost 1 in the first m columns of a, feasible there; a >= 0 bounds
+    the optimum."""
+    rng = np.random.default_rng(seed)
+    m, n = 8, 60
+    a = np.hstack([np.eye(m), rng.uniform(0.0, 1.0, size=(m, n))])
+    b = rng.uniform(1.0, 2.0, size=m)
+    c = np.r_[np.ones(m), rng.uniform(-1.0, 1.0, size=n)]
+    return a, b, c
 
-    def test_grown_simplex_runs_like_the_whole_matrix(self):
-        rng = np.random.default_rng(1)
-        m = 6
-        a = np.hstack([np.eye(m), rng.uniform(0.0, 1.0, size=(m, 60))])
-        b = rng.uniform(1.0, 2.0, size=m)
-        c = np.r_[np.zeros(m), -rng.uniform(0.5, 1.5, size=60)]
-        whole = basis_start(a, b, np.arange(m))
-        grown = grown_simplex(a, b, m + 1)
-        assert whole.run(c, 10_000) is grown.run(c, 10_000) is Status.OPTIMAL
-        assert grown.iterations == whole.iterations > 0
-        assert np.array_equal(grown.basis, whole.basis)
-        assert np.array_equal(grown.xb, whole.xb)
-        assert np.array_equal(grown.duals(c), whole.duals(c))
 
-    def test_appends_reallocate_logarithmically_often(self):
-        # the data pointer of ``a`` changes only where the storage is
-        # reallocated; a copy per append would move it 10 000 times
-        sim = basis_start(np.eye(2), np.ones(2), [0, 1])
-        col = np.array([1.0, 2.0])
-        moves, where = 0, sim.a.__array_interface__["data"][0]
-        for _ in range(10_000):
-            sim.add_column(col)
-            now = sim.a.__array_interface__["data"][0]
-            moves += now != where
-            where = now
-        assert sim.a.shape == (2, 10_002)
-        assert np.array_equal(sim.a[:, 2:], np.tile(col[:, None], 10_000))
-        assert moves <= np.log2(10_000) + 1
+def pivot_log(cls, log):
+    """Patch ``cls.pivot`` to append each basis after a pivot to ``log``."""
+    pivot = cls.pivot
+
+    def spy(self, *args):
+        pivot(self, *args)
+        log.append(self.basis.tolist())
+
+    return mock.patch.object(cls, "pivot", spy)
+
+
+@pytest.mark.parametrize("lp, split", [
+    (random_dense_lp(0), None), (random_dense_lp(1), None), (BEALE, None),
+    (random_dense_lp(0), 40), (random_dense_lp(1), 40),
+], ids=["random-0", "random-1", "beale", "random-0-appended",
+        "random-1-appended"])
+def test_tableau_pivots_like_the_revised_simplex(lp, split):
+    # both loops choose by PivotRule: from the same basis they take the
+    # same pivots, Dantzig's until Beale's LP cycles and Bland's after,
+    # and end at the same basis, x_B and duals; a tableau started on
+    # part of the columns, the rest (of cost zero) appended, runs alike,
+    # and some appended columns enter
+    a, b, c = lp
+    m = len(b)
+    basis = list(range(a.shape[1] - m, a.shape[1])) if lp is BEALE \
+        else list(range(m))
+    if split is not None:
+        c = np.where(np.arange(c.size) < split, c, 0.0)
+    revised, dense = [], []
+    with pivot_log(Simplex, revised), pivot_log(Tableau, dense):
+        sim = basis_start(a, b, basis)
+        assert sim.run(c, 10_000) is Status.OPTIMAL
+        if split is None:
+            tab = Tableau(a, b, c, basis)
+        else:
+            tab = Tableau(a[:, :split], b, c[:split], basis)
+            tab.add_columns(a[:, split:])
+        assert tab.run(10_000) is Status.OPTIMAL
+    assert tab.iterations == sim.iterations == len(revised) > m
+    assert dense == revised
+    if split is not None:
+        assert max(max(basis) for basis in revised) >= split
+    assert tab.rule.use_bland is sim.rule.use_bland is (lp is BEALE)
+    assert np.array_equal(tab.basis, sim.basis)
+    assert tab.duals == pytest.approx(sim.duals(c), abs=1e-12)
+    assert tab.t[:-1, 0] == pytest.approx(sim.xb, abs=1e-12)
+    assert tab.value == pytest.approx(c[sim.basis] @ sim.xb, abs=1e-12)

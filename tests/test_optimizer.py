@@ -385,15 +385,17 @@ class TestPricedAssociation:
             assert rep.mu.hex() == ref.mu.hex()
             assert np.array_equal(rep.association, ref.association)
 
-    @pytest.mark.parametrize("seed", [925312022, 932482408, 1258493683,
-                                      1878861697])
-    def test_priced_basis_is_optimal_at_200_by_10(self, seed, monkeypatch):
+    @pytest.mark.parametrize("seed, n", [(925312022, 200), (932482408, 200),
+                                         (1258493683, 200), (1878861697, 200),
+                                         (1, 1000)])
+    def test_priced_basis_is_optimal(self, seed, n, monkeypatch):
         # instances where a master scaled to values below 1 ended pricing
         # about 1e-9 relative above the LP optimum: the priced basis then
         # missed tied pairs and the certifying call solved from scratch
         # (over 1100 pivots); on 1878861697 a pair 8.8e-9 relative above
         # its row minimum missed a 1e-9 tie tolerance the same way; the
-        # priced basis, tried first, must be the one phase 2 starts from
+        # priced basis, tried first, must be the one phase 2 starts from,
+        # also at the 1000 UEs / 10 UAVs that CI solves
         pivots = []
 
         def spy(prog, bases):
@@ -403,7 +405,7 @@ class TestPricedAssociation:
             return res
 
         monkeypatch.setattr(association, "solve_lp", spy)
-        quiet_solve(generate(seed, 200, FleetConfig(num_uavs=10)), "proposed",
+        quiet_solve(generate(seed, n, FleetConfig(num_uavs=10)), "proposed",
                     OptimizerConfig(restarts=1, max_outer_iters=2, seed=seed))
         assert pivots == [0, 0]
 
@@ -411,21 +413,23 @@ class TestPricedAssociation:
                                       1878861697])
     def test_smoothed_pricing_columns_at_200_by_10(self, seed, monkeypatch):
         # the master's prices tail off: pricing at them took 299-308
-        # columns for the solve's two LPs; smoothed pricing takes 128-146.
-        # Without the stop on a column that does not enter, 1878861697
-        # kept adding columns below the simplex's tolerance up to the
-        # 10 000-column cap (10 055 in all)
-        columns = []
-        add_column = lp.Simplex.add_column
+        # columns for the solve's two LPs on a master with one convexity
+        # row; smoothed pricing took 128-146, and one convexity row per
+        # fastest-UAV group takes 56-66 pricing rounds (master runs).
+        # Without the stop on columns that do not enter, 1878861697 kept
+        # adding columns below the simplex's tolerance up to the one-row
+        # master's 10 000-column cap (10 055 in all)
+        rounds = []
+        run = lp.Tableau.run
 
-        def spy(self, col):
-            columns.append(col)
-            add_column(self, col)
+        def spy(self, max_iter):
+            rounds.append(max_iter)
+            return run(self, max_iter)
 
-        monkeypatch.setattr(lp.Simplex, "add_column", spy)
+        monkeypatch.setattr(lp.Tableau, "run", spy)
         quiet_solve(generate(seed, 200, FleetConfig(num_uavs=10)), "proposed",
                     OptimizerConfig(restarts=1, max_outer_iters=2, seed=seed))
-        assert 0 < len(columns) <= 200
+        assert 0 < len(rounds) <= 90
 
 
 def _scaled_tasks(sc, factor):
