@@ -9,6 +9,7 @@ Writes results.csv / aggregate.csv / timings.csv / chart.svg to --out.
 """
 
 import argparse
+import sys
 
 from uavmec.cli import run_sweep
 
@@ -48,9 +49,14 @@ def main():
         fixed_key: fixed_default if fixed is None else fixed,
         "restarts": args.restarts,
     }
-    run_sweep(spec, out, jobs=args.jobs)
+    try:
+        run_sweep(spec, out, jobs=args.jobs)
+    except (ValueError, OSError) as exc:   # ScenarioError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"done; see {out}/aggregate.csv and {out}/chart.svg")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

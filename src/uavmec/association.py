@@ -16,22 +16,20 @@ whatever N is; each pricing gives one load column per group. Grouped
 columns combine independently, which converges in far fewer rounds
 than one convexity row over whole assignments. The master is small and
 dense, so it pivots on ``lp.Tableau`` under the pivot rule that the
-certifying simplex uses. Pricing is smoothed (Wentges 1997): each round
-prices at a point between the master's prices and those of the best
-Lagrangian bound so far, or at the master's own prices where that point
-misprices. It stops when the master value is within 1e-13 relative of
-the best bound, or when no new column enters the master, and returns
-the best-bound prices. By complementary slackness they name a starting
-basis (mu, each UE's cheapest UAV at those prices, the slacks of
-unpriced load rows, and the other pairs closest to a tie that fill it
-to N + M columns), and one ``solve_lp`` call on the full LP runs phase
-2 from it, reading the LP's blocks where ``relaxed_lp`` built them. At a
-nondegenerate optimum that basis is already optimal, so the call costs
-no pivot and only certifies it. Where degeneracy (such as
-co-located UEs) leaves it singular or infeasible, phase 2 starts from
-the fastest-UAV vertex, which is always feasible and well conditioned.
-Both run on the times scaled to an LP value in [1, M], where the
-simplex's absolute tolerances act as relative ones.
+certifying simplex uses. Each round prices once, at the master's own
+prices. Pricing stops when no column enters the master, or when the
+last round's columns took no pivot, and returns the master's last
+prices, which are dual optimal when no column enters. By complementary
+slackness they name a starting basis (mu, each UE's cheapest UAV at
+those prices, the slacks of unpriced load rows, and the other pairs
+closest to a tie that fill it to N + M columns), and one ``solve_lp``
+call on the full LP runs phase 2 from it, reading the LP's blocks where
+``relaxed_lp`` built them. At a nondegenerate optimum that basis is
+already optimal, so the call costs no pivot and only certifies it. Where
+degeneracy (such as co-located UEs) leaves it singular or infeasible,
+phase 2 starts from the fastest-UAV vertex, which is always feasible
+and well conditioned. Both run on the times scaled to an LP value in
+[1, M], where the simplex's absolute tolerances act as relative ones.
 
 Rounding sets the first entry >= 0.5 per row, falling back to the row
 argmax so that every row ends with exactly one 1 even for degenerate
@@ -45,9 +43,8 @@ import numpy as np
 from . import channel
 from .lp import LinearProgram, Status, Tableau, solve_lp
 
-_DW_GAP = 1e-13          # relative master-minus-bound gap that ends pricing
+_DW_GAP = 1e-13          # relative reduced cost below which a column enters
 _MAX_ROUNDS = 10000      # pricing rounds at most; the simplex certifies anyway
-_SMOOTH = 0.8            # weight of the best-bound prices in the pricing point
 
 
 class AssociationError(RuntimeError):
@@ -87,13 +84,6 @@ def relaxed_lp(times):
                          a_eq=a_eq, b_eq=np.ones(n))
 
 
-def _argmin_loads(times, prices):
-    """Per-UAV loads when each UE goes to its argmin_j prices_j t_ij."""
-    best = np.argmin(times * prices, axis=1)
-    return np.bincount(best, weights=times[np.arange(len(times)), best],
-                       minlength=times.shape[1])
-
-
 def _group_loads(times, prices, group, size):
     """(M, size) loads per UAV and group when each UE, of group
     ``group[i]``, goes to its argmin_j prices_j t_ij."""
@@ -129,18 +119,12 @@ def dual_prices(times):
     where its reduced cost rmp . L_g - sigma_g is below -1e-13 of the
     master value.
 
-    Pricing is smoothed against the tailing-off of the master's prices
-    (Wentges, "Weighted Dantzig-Wolfe decomposition for linear mixed-
-    integer programming", ITOR 4(2), 1997): each round prices at
-    0.8 stab + 0.2 rmp, where stab holds the prices of the best bound so
-    far (at first the uniform prices). If no column from that point
-    enters, the smoothed point mispriced, and the round prices at rmp
-    itself. Pricing stops when the master value is within 1e-13
-    relative of the best bound, when no column enters, or when the last
-    round's columns did not move the master (their reduced costs were
-    below the simplex's tolerance); before that last stop the Lagrangian
-    value of rmp is taken too. The returned prices are stab, whose
-    Lagrangian value is the best bound.
+    Each round runs the master to its optimum and prices once, at rmp;
+    every group column with a negative reduced cost enters. Pricing stops
+    when no column enters, or when the last round's columns did not move
+    the master (their reduced costs were below the simplex's tolerance).
+    It returns the last rmp: where no column enters, the Lagrangian value
+    of rmp is within G 1e-13 of the master value, so rmp is dual optimal.
 
     The master pivots on an ``lp.Tableau`` under the pivot rule of the
     certifying simplex (``lp.PivotRule``). The simplex's tolerances are
@@ -153,9 +137,8 @@ def dual_prices(times):
     # groups numbered by fastest UAV, skipping the UAVs that are no UE's
     group = (np.cumsum(present) - 1)[fastest]
     size = int(np.count_nonzero(present))
-    stab = np.full(m, 1.0 / m)
-    loads = _group_loads(times, stab, group, size)
-    bound = stab @ loads.sum(axis=1)
+    rmp = np.full(m, 1.0 / m)
+    loads = _group_loads(times, rmp, group, size)
     # columns: mu, the M load-row slacks, then the groups' load columns;
     # rows: the M load rows, then one convexity row per group
     unit = np.eye(size)
@@ -175,27 +158,16 @@ def dual_prices(times):
         before = master.iterations
         if master.run(200 * sum(master.t.shape)) is not Status.OPTIMAL:
             break
-        value = master.value
         rmp, sigma = -master.duals[:m], master.duals[m:]
-        stalled = rounds > 0 and master.iterations == before
-        smoothed = _SMOOTH * stab + (1.0 - _SMOOTH) * rmp
-        # price at the smoothed point, and at rmp itself where no column
-        # of that point has a negative reduced cost at rmp (a mispricing)
-        # or on a stall
-        for point in ((rmp,) if stalled else (smoothed, rmp)):
-            loads = _group_loads(times, point, group, size)
-            lagrangian = point @ loads.sum(axis=1)
-            if lagrangian > bound:
-                stab, bound = point, lagrangian
-            enter = rmp @ loads < sigma - _DW_GAP * value
-            if enter.any():
-                break
-        # stop at the optimum, when no column enters, or when the last
-        # columns did not enter
-        if value - bound <= _DW_GAP * value or stalled or not enter.any():
+        # stop when the last round's columns did not enter
+        if rounds > 0 and master.iterations == before:
+            break
+        loads = _group_loads(times, rmp, group, size)
+        enter = rmp @ loads < sigma - _DW_GAP * master.value
+        if not enter.any():
             break
         master.add_columns(np.concatenate((loads, unit))[:, enter])
-    return stab
+    return rmp
 
 
 def solve_relaxed(times):
@@ -236,8 +208,10 @@ def solve_relaxed(times):
     basis = np.concatenate([[n * m],
                             np.sort(np.concatenate([rows * m + best, split])),
                             n * m + 1 + unpriced])
-    top = np.argmax(_argmin_loads(times, np.ones(m)))
-    vertex = np.concatenate([[n * m], rows * m + np.argmin(times, axis=1),
+    fastest = np.argmin(times, axis=1)
+    top = np.argmax(np.bincount(fastest, weights=times.min(axis=1),
+                                minlength=m))
+    vertex = np.concatenate([[n * m], rows * m + fastest,
                              n * m + 1 + np.delete(np.arange(m), top)])
     res = solve_lp(relaxed_lp(times), bases=(basis, vertex))
     if res.status is not Status.OPTIMAL:

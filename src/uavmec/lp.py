@@ -22,8 +22,8 @@ a run of degenerate pivots, so both are deterministic and cannot cycle.
   its objective row: a new column costs one matrix-vector product and a
   pivot one rank-1 update.
 
-A starting basis whose rows are mostly singletons (one nonzero each) has
-them eliminated before the rest is factored densely, the first step of
+A starting basis has its row singletons (rows with one nonzero)
+eliminated before the rest is factored densely, the first step of
 LP-basis LU (Suhl & Suhl, ORSA J. Computing 2(4), 1990). An optimal
 basis of the relaxed association LP is a pseudo-forest with at most
 M - 1 split UEs (Lenstra, Shmoys & Tardos, Math. Programming 46, 1990):
@@ -282,24 +282,21 @@ class Tableau:
 def _inverse(bmat):
     """B^-1 of a square matrix B; raises LinAlgError where B is singular.
 
-    Where more than half of B's rows are singletons (one nonzero each),
-    they are eliminated first. With R1 those rows, C1 the columns of
-    their nonzeros d (distinct, or B is singular), R2 and C2 the other
-    rows and columns and S = B[R2, C2], B is block triangular and
+    B's row singletons (rows with one nonzero) are eliminated first. With
+    R1 those rows, C1 the columns of their nonzeros d (distinct, or B is
+    singular), R2 and C2 the other rows and columns and S = B[R2, C2], B
+    is block triangular and
 
         B^-1[C1, R1] = diag(1/d),   B^-1[C1, R2] = 0,
         B^-1[C2, R2] = S^-1,
         B^-1[C2, R1] = -S^-1 B[R2, C1] diag(1/d),
 
-    so only S is inverted densely. Otherwise B is inverted whole, which
-    is cheaper for a small matrix with few singletons.
+    so only S is inverted densely; with no singletons, S is B.
     """
     m = bmat.shape[0]
     nonzero = bmat != 0.0
     single = nonzero.sum(axis=1) == 1
     r1 = np.flatnonzero(single)
-    if 2 * r1.size <= m:
-        return np.linalg.inv(bmat)
     c1 = nonzero[r1].argmax(axis=1)
     free = np.ones(m, dtype=bool)
     free[c1] = False
@@ -325,9 +322,8 @@ def basis_start(a, b, basis):
     start phase 2: it has the wrong size or an index out of range, its
     columns are singular to working precision (infinity-norm condition
     number above 1e12), or its basic solution B^-1 b has a negative entry.
-    B^-1 is formed by eliminating the basis's row singletons when they are
-    more than half of its rows, and by inverting B whole otherwise
-    (``_inverse``).
+    B^-1 is formed by eliminating the basis's row singletons and inverting
+    the rest densely (``_inverse``).
     """
     m = a.shape[0]
     basis = np.asarray(basis, dtype=int)

@@ -219,36 +219,33 @@ class TestPricedStart:
     def test_prices_are_dual_optimal_on_degenerate_inputs(self, times):
         assert_dual_optimal(times, association.dual_prices(times))
 
-    def test_mispriced_column_is_priced_again_at_the_master_prices(self):
-        # a round prices at the smoothed point and, where no column of that
-        # point has a negative reduced cost at the master's prices, once
-        # more at them: two pricings, the second at the prices of the
-        # master's load rows, then the columns of the second
-        events = []
-        group_loads = association._group_loads
-        add_columns = Tableau.add_columns
+    def test_each_round_prices_at_the_master_prices(self):
+        # the first pricing is at the uniform prices, which give the
+        # master's starting columns; every later one is at the load-row
+        # prices of the master at that moment, and the prices returned are
+        # the last point priced
+        times = log_uniform_times(5, 3, 0)
+        m = times.shape[1]
+        masters, points = [], []
+        group_loads, run = association._group_loads, Tableau.run
 
         def spy_loads(times, prices, group, size):
-            events.append(("price", prices.copy()))
+            master = (np.full(m, 1.0 / m) if not masters
+                      else -masters[-1].duals[:m])
+            points.append((prices.copy(), master))
             return group_loads(times, prices, group, size)
 
-        def spy_columns(self, cols):
-            events.append(("columns", -self.duals[:times.shape[1]]))
-            add_columns(self, cols)
+        def spy_run(self, max_iter):
+            masters.append(self)
+            return run(self, max_iter)
 
-        times = log_uniform_times(5, 3, 0)
         with mock.patch.object(association, "_group_loads", spy_loads), \
-                mock.patch.object(Tableau, "add_columns", spy_columns):
+                mock.patch.object(Tableau, "run", spy_run):
             prices = association.dual_prices(times)
-        names = [name for name, _ in events]
-        # the first pricing is the uniform prices' starting columns
-        twice = [k for k in range(1, len(events) - 2)
-                 if names[k:k + 3] == ["price", "price", "columns"]]
-        assert twice
-        for k in twice:
-            smoothed, rmp, master = (point for _, point in events[k:k + 3])
-            assert np.array_equal(rmp, master)
-            assert not np.array_equal(smoothed, rmp)
+        assert len(points) > 2
+        for priced, master in points:
+            assert np.array_equal(priced, master)
+        assert np.array_equal(prices, points[-1][0])
         assert_dual_optimal(times, prices)
 
     @given(st.integers(1, 60), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))

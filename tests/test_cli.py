@@ -1,13 +1,18 @@
 """CLI: exit codes, output files, determinism, and the verify suites."""
 
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from uavmec import cli
 from uavmec.scenario import load
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -359,3 +364,22 @@ class TestUsage:
     def test_help_exits_0(self, argv, capsys):
         assert cli.main(argv) == 0
         assert "usage" in capsys.readouterr().out
+
+
+class TestScripts:
+    @pytest.mark.parametrize("argv", [
+        ["sweep.py", "--var", "num_ues", "--values", "0", "--uavs", "2",
+         "--seeds", "1"],
+        ["solve_example.py", "--ues", "0"],
+        ["solve_example.py", "--restarts", "0"],
+    ])
+    def test_malformed_argument_exits_1(self, argv, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]),
+                              *argv[1:]], capture_output=True, text=True,
+                             cwd=tmp_path, env=env, timeout=120)
+        assert run.returncode == 1
+        assert any(line.startswith("error: ")
+                   for line in run.stderr.splitlines())
+        assert "Traceback" not in run.stderr

@@ -242,8 +242,8 @@ def singleton_matrix(m, singles, seed):
 
 
 class TestBasisFactor:
-    """basis_start forms B^-1 by eliminating row singletons first when
-    they are more than half of the rows, and inverts B whole otherwise."""
+    """basis_start forms B^-1 by eliminating row singletons first and
+    inverting only the rest densely (all of B where it has none)."""
 
     @pytest.mark.parametrize("singles", [0, 4, 10, 11, 16, 19, 20])
     def test_matches_dense_inverse(self, singles):
@@ -263,7 +263,7 @@ class TestBasisFactor:
         assert np.linalg.norm(sim.binv - inv(bmat), np.inf) <= 1e-12
         # only the rows and columns left after the elimination are
         # factored densely
-        assert sizes == [m - singles if 2 * singles > m else m]
+        assert sizes == [m - singles]
 
     @pytest.mark.parametrize("bmat", [
         # rows 0 and 1 are singletons on one column

@@ -411,14 +411,15 @@ class TestPricedAssociation:
 
     @pytest.mark.parametrize("seed", [925312022, 932482408, 1258493683,
                                       1878861697])
-    def test_smoothed_pricing_columns_at_200_by_10(self, seed, monkeypatch):
+    def test_pricing_rounds_at_200_by_10(self, seed, monkeypatch):
         # the master's prices tail off: pricing at them took 299-308
         # columns for the solve's two LPs on a master with one convexity
-        # row; smoothed pricing took 128-146, and one convexity row per
-        # fastest-UAV group takes 56-66 pricing rounds (master runs).
-        # Without the stop on columns that do not enter, 1878861697 kept
-        # adding columns below the simplex's tolerance up to the one-row
-        # master's 10 000-column cap (10 055 in all)
+        # row, and smoothed pricing 128-146. One convexity row per
+        # fastest-UAV group took 56-66 pricing rounds (master runs) with
+        # smoothing and takes 56-75 (60, 57, 56, 75 in the order above)
+        # without it. Without the stop on columns that do not enter,
+        # 1878861697 kept adding columns below the simplex's tolerance up
+        # to the one-row master's 10 000-column cap (10 055 in all)
         rounds = []
         run = lp.Tableau.run
 
